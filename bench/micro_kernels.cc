@@ -1,8 +1,8 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) of the substrate kernels:
- * bitmap encode/decode, popcount profiling, condensing, warp-tile
- * SpGEMM, and the cycle-accurate accumulation-buffer simulator.
+ * bitmap encode/decode, popcount profiling, warp-tile SpGEMM, and
+ * the cycle-accurate accumulation-buffer simulator.
  */
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,6 @@
 #include "gemm/sparsity_profile.h"
 #include "gemm/spgemm_warp.h"
 #include "sparse/bitmap.h"
-#include "sparse/condensed.h"
 #include "sparse/two_level.h"
 #include "tensor/matrix.h"
 #include "timing/accum_buffer.h"
@@ -52,15 +51,6 @@ benchTwoLevelEncode(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(
             TwoLevelBitmapMatrix::encode(m, 32, 32, Major::Col));
-}
-
-void
-benchCondense(benchmark::State &state)
-{
-    BitmapMatrix bm = BitmapMatrix::encode(
-        input(512, state.range(0) / 100.0), Major::Col);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(CondensedMatrix::fromBitmap(bm, 8));
 }
 
 void
@@ -109,7 +99,6 @@ benchAccumBufferSim(benchmark::State &state)
 BENCHMARK(benchBitmapEncode)->Arg(0)->Arg(50)->Arg(90);
 BENCHMARK(benchBitmapDecode)->Arg(0)->Arg(90);
 BENCHMARK(benchTwoLevelEncode)->Arg(50)->Arg(99);
-BENCHMARK(benchCondense)->Arg(0)->Arg(75);
 BENCHMARK(benchProfileExtraction);
 BENCHMARK(benchWarpTile)->Arg(0)->Arg(50)->Arg(90);
 BENCHMARK(benchAccumBufferSim)->Arg(0)->Arg(1);

@@ -23,6 +23,15 @@ parseWholeLl(const std::string &v, long long *out)
     return true;
 }
 
+/** True when @p token parses fully as a number (strtod). */
+bool
+isNumber(const char *token)
+{
+    char *end = nullptr;
+    std::strtod(token, &end);
+    return end != token && *end == '\0';
+}
+
 } // namespace
 
 bool
@@ -160,10 +169,12 @@ parseCliArgs(int argc, char **argv,
             std::string name = token.substr(2);
             // Valueless flags keep an empty value: boolean flags
             // only test presence, and value-bearing flags fail
-            // validation instead of silently defaulting.
+            // validation instead of silently defaulting. A next
+            // token starting with '-' is a value only when it is a
+            // number ("--duration -1"), else it is the next flag.
             std::string value;
             if (!boolean_flags.count(name) && i + 1 < argc &&
-                argv[i + 1][0] != '-')
+                (argv[i + 1][0] != '-' || isNumber(argv[i + 1])))
                 value = argv[++i];
             args.flags.emplace_back(std::move(name),
                                     std::move(value));

@@ -48,11 +48,8 @@ struct CliArgs
     uint64_t flagU64(const std::string &name,
                      uint64_t fallback) const;
 
-    /**
-     * Reject positionals beyond @p max_positionals — stray tokens
-     * (including a negative value after a flag, which parseCliArgs
-     * refuses to consume) used to be silently ignored.
-     */
+    /** Reject positionals beyond @p max_positionals (a stray token
+     *  is an error, never silently ignored). */
     bool checkPositionals(const char *command,
                           size_t max_positionals) const;
 
@@ -79,8 +76,11 @@ struct CliArgs
  * Split argv into positionals and flags. Flags in @p boolean_flags
  * are presence-only and never consume a following token (else
  * "--batched bogus" would silently eat the stray argument).
- * Value-bearing flags keep an empty value when none follows, which
- * validateFlags then rejects instead of silently defaulting.
+ * Value-bearing flags consume the next token unless it starts with
+ * '-' and does not parse fully as a number: "--hybrid-threshold -1"
+ * carries -1, while "--hw --out-c 4" leaves --hw with an empty
+ * value, which validateFlags then rejects instead of silently
+ * defaulting.
  */
 CliArgs parseCliArgs(int argc, char **argv,
                      const std::set<std::string> &boolean_flags);

@@ -22,24 +22,6 @@ dataTypeToken(DataType dtype)
     panic("unknown datatype");
 }
 
-const char *
-dataTypeName(DataType dtype)
-{
-    switch (dtype) {
-      case DataType::Fp32:
-        return "FP32";
-      case DataType::Fp16:
-        return "FP16";
-      case DataType::Bf16:
-        return "BF16";
-      case DataType::Int8:
-        return "INT8 (symmetric, int32 accumulate)";
-      case DataType::Int4:
-        return "INT4 (symmetric, int32 accumulate)";
-    }
-    panic("unknown datatype");
-}
-
 bool
 parseDataType(const std::string &token, DataType *out)
 {

@@ -53,9 +53,6 @@ enum class DataType
 /** Stable CLI/parse token of a datatype ("fp32", "int8", ...). */
 const char *dataTypeToken(DataType dtype);
 
-/** Human-readable datatype name. */
-const char *dataTypeName(DataType dtype);
-
 /** Parse a CLI token into a DataType; false on unknown token. */
 bool parseDataType(const std::string &token, DataType *out);
 

@@ -35,9 +35,9 @@ struct PlanContext
     EncodingCache *cache = nullptr;
 
     /** Worker partitioning of the word-parallel operand encoders
-     *  (SessionOptions::encode_workers; the usual num_workers
-     *  contract: 0 = shared pool, 1 = serial). Encodings are bitwise
-     *  identical for every setting. */
+     *  (the resolved ExecutionResources::encode_workers; the usual
+     *  num_workers contract: 0 = shared pool, 1 = serial). Encodings
+     *  are bitwise identical for every setting. */
     int encode_workers = 1;
 
     /**

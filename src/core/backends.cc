@@ -18,7 +18,6 @@
 
 #include "baselines/ampere_sparse_tc.h"
 #include "baselines/cusparse_like.h"
-#include "baselines/cutlass_like.h"
 #include "baselines/zhu_sparse_tc.h"
 #include "conv/spconv.h"
 #include "core/gemm_operands.h"
@@ -456,17 +455,29 @@ class DualSparseBackend : public Backend
     }
 };
 
-// ===================================================================
-// Dense CUTLASS-like Tensor Core
-// ===================================================================
+// -- shared analytic GEMM plan (dense / zhu / ampere) ---------------
 
-class DenseGemmPlan : public ExecutionPlan
+/**
+ * The analytic baselines answer a GEMM the same way: an analytic
+ * (m, n, k, weight sparsity, dtype) kernel time, plus — when the
+ * request carries concrete operands and asks for values — a
+ * functional multiply over the spec-quantized operands.
+ */
+class AnalyticGemmPlan : public ExecutionPlan
 {
   public:
-    DenseGemmPlan(const char *name, const KernelRequest &req,
-                  const PlanContext &ctx)
-        : ExecutionPlan(name, Method::Dense, req.tag), req_(req),
-          cfg_(*ctx.cfg)
+    using TimeFn = KernelStats (*)(const GpuConfig &cfg,
+                                   const KernelRequest &req);
+    using MultiplyFn = Matrix<float> (*)(const GpuConfig &cfg,
+                                         const KernelRequest &req,
+                                         const QuantSpec &spec_a,
+                                         const QuantSpec &spec_b);
+
+    AnalyticGemmPlan(const char *name, Method method,
+                     const KernelRequest &req, const PlanContext &ctx,
+                     TimeFn time, MultiplyFn multiply)
+        : ExecutionPlan(name, method, req.tag), req_(req),
+          cfg_(*ctx.cfg), time_(time), multiply_(multiply)
     {
     }
 
@@ -475,18 +486,12 @@ class DenseGemmPlan : public ExecutionPlan
     run() override
     {
         KernelReport report;
-        const DataType dtype = req_.dataType();
+        report.stats = time_(cfg_, req_);
         if (req_.a && req_.b && req_.gemm_options.functional) {
-            DenseGemmDevice device(cfg_);
-            DenseGemmResult r = device.multiply(
-                *req_.a, *req_.b, req_.outer_product,
-                specFor(dtype, *req_.a), specFor(dtype, *req_.b));
-            report.stats = r.stats;
-            report.d =
-                std::make_shared<const Matrix<float>>(std::move(r.d));
-        } else {
-            report.stats =
-                cutlassGemm(cfg_, req_.m, req_.n, req_.k, dtype);
+            const DataType dtype = req_.dataType();
+            report.d = std::make_shared<const Matrix<float>>(
+                multiply_(cfg_, req_, specFor(dtype, *req_.a),
+                          specFor(dtype, *req_.b)));
         }
         return report;
     }
@@ -494,20 +499,44 @@ class DenseGemmPlan : public ExecutionPlan
     double
     estimate() override
     {
-        // Functional plans estimate analytically so Auto never runs
-        // a losing candidate's kernel; timing plans share the
-        // memoized run.
-        if (req_.a && req_.b)
-            return cutlassGemm(cfg_, req_.m, req_.n, req_.k,
-                               req_.dataType())
-                .timeUs();
-        return ExecutionPlan::estimate();
+        // Analytic, so Auto never runs a losing candidate's multiply.
+        return time_(cfg_, req_).timeUs();
     }
 
   private:
     KernelRequest req_;
     GpuConfig cfg_;
+    TimeFn time_;
+    MultiplyFn multiply_;
 };
+
+// ===================================================================
+// Dense CUTLASS-like Tensor Core
+// ===================================================================
+
+/**
+ * CUTLASS-like dense GEMM time (Sec. VI-A): the normalization
+ * baseline of Fig. 21 and the Dense GEMM cases of Fig. 22. A
+ * functional run reports the device kernel's own name.
+ */
+KernelStats
+denseTime(const GpuConfig &cfg, const KernelRequest &req)
+{
+    KernelStats stats = DenseGemmDevice(cfg).timeOnly(
+        req.m, req.n, req.k, req.dataType());
+    if (!(req.a && req.b && req.gemm_options.functional))
+        stats.name = "cutlass";
+    return stats;
+}
+
+Matrix<float>
+denseMultiply(const GpuConfig &cfg, const KernelRequest &req,
+              const QuantSpec &spec_a, const QuantSpec &spec_b)
+{
+    return DenseGemmDevice(cfg)
+        .multiply(*req.a, *req.b, req.outer_product, spec_a, spec_b)
+        .d;
+}
 
 class DenseBackend : public Backend
 {
@@ -544,7 +573,8 @@ class DenseBackend : public Backend
         // Kind::Spmm shares the dense GEMM plan: same geometry
         // fields, same kernel (A's sparsity is invisible to a dense
         // datapath).
-        return std::make_unique<DenseGemmPlan>(name(), req, ctx);
+        return std::make_unique<AnalyticGemmPlan>(
+            name(), method(), req, ctx, denseTime, denseMultiply);
     }
 };
 
@@ -552,46 +582,19 @@ class DenseBackend : public Backend
 // Zhu vector-wise sparse Tensor Core [72]
 // ===================================================================
 
-class ZhuGemmPlan : public ExecutionPlan
+KernelStats
+zhuTime(const GpuConfig &cfg, const KernelRequest &req)
 {
-  public:
-    ZhuGemmPlan(const char *name, const KernelRequest &req,
-                const PlanContext &ctx)
-        : ExecutionPlan(name, Method::ZhuSparse, req.tag), req_(req),
-          cfg_(*ctx.cfg)
-    {
-    }
+    return zhuGemm(cfg, req.m, req.n, req.k, weightSparsity(req),
+                   req.dataType());
+}
 
-  protected:
-    KernelReport
-    run() override
-    {
-        KernelReport report;
-        const DataType dtype = req_.dataType();
-        report.stats = zhuGemm(cfg_, req_.m, req_.n, req_.k,
-                               weightSparsity(req_), dtype);
-        if (req_.a && req_.b && req_.gemm_options.functional)
-            report.d = std::make_shared<const Matrix<float>>(
-                zhuGemmFunctional(*req_.a, *req_.b, 16,
-                                  specFor(dtype, *req_.a),
-                                  specFor(dtype, *req_.b)));
-        return report;
-    }
-
-    double
-    estimate() override
-    {
-        if (req_.a && req_.b)
-            return zhuGemm(cfg_, req_.m, req_.n, req_.k,
-                           weightSparsity(req_), req_.dataType())
-                .timeUs();
-        return ExecutionPlan::estimate();
-    }
-
-  private:
-    KernelRequest req_;
-    GpuConfig cfg_;
-};
+Matrix<float>
+zhuMultiply(const GpuConfig &, const KernelRequest &req,
+            const QuantSpec &spec_a, const QuantSpec &spec_b)
+{
+    return zhuGemmFunctional(*req.a, *req.b, 16, spec_a, spec_b);
+}
 
 class ZhuSparseBackend : public Backend
 {
@@ -634,7 +637,8 @@ class ZhuSparseBackend : public Backend
         if (req.kind == KernelRequest::Kind::Conv)
             return std::make_unique<ConvPlan>(name(), method(), req,
                                               ctx);
-        return std::make_unique<ZhuGemmPlan>(name(), req, ctx);
+        return std::make_unique<AnalyticGemmPlan>(
+            name(), method(), req, ctx, zhuTime, zhuMultiply);
     }
 };
 
@@ -642,46 +646,19 @@ class ZhuSparseBackend : public Backend
 // Ampere 2:4 sparse Tensor Core
 // ===================================================================
 
-class AmpereGemmPlan : public ExecutionPlan
+KernelStats
+ampereTime(const GpuConfig &cfg, const KernelRequest &req)
 {
-  public:
-    AmpereGemmPlan(const char *name, const KernelRequest &req,
-                   const PlanContext &ctx)
-        : ExecutionPlan(name, Method::AmpereSparse, req.tag),
-          req_(req), cfg_(*ctx.cfg)
-    {
-    }
+    return ampereGemm(cfg, req.m, req.n, req.k, weightSparsity(req),
+                      req.dataType());
+}
 
-  protected:
-    KernelReport
-    run() override
-    {
-        KernelReport report;
-        const DataType dtype = req_.dataType();
-        report.stats = ampereGemm(cfg_, req_.m, req_.n, req_.k,
-                                  weightSparsity(req_), dtype);
-        if (req_.a && req_.b && req_.gemm_options.functional)
-            report.d = std::make_shared<const Matrix<float>>(
-                ampereGemmFunctional(*req_.a, *req_.b,
-                                     specFor(dtype, *req_.a),
-                                     specFor(dtype, *req_.b)));
-        return report;
-    }
-
-    double
-    estimate() override
-    {
-        if (req_.a && req_.b)
-            return ampereGemm(cfg_, req_.m, req_.n, req_.k,
-                              weightSparsity(req_), req_.dataType())
-                .timeUs();
-        return ExecutionPlan::estimate();
-    }
-
-  private:
-    KernelRequest req_;
-    GpuConfig cfg_;
-};
+Matrix<float>
+ampereMultiply(const GpuConfig &, const KernelRequest &req,
+               const QuantSpec &spec_a, const QuantSpec &spec_b)
+{
+    return ampereGemmFunctional(*req.a, *req.b, spec_a, spec_b);
+}
 
 class AmpereSparseBackend : public Backend
 {
@@ -710,7 +687,8 @@ class AmpereSparseBackend : public Backend
     plan(const KernelRequest &req,
          const PlanContext &ctx) const override
     {
-        return std::make_unique<AmpereGemmPlan>(name(), req, ctx);
+        return std::make_unique<AnalyticGemmPlan>(
+            name(), method(), req, ctx, ampereTime, ampereMultiply);
     }
 };
 

@@ -123,24 +123,6 @@ ClusterScheduler::setDeviceAlive(size_t device, bool alive)
     alive_[device] = alive ? 1 : 0;
 }
 
-bool
-ClusterScheduler::deviceAlive(size_t device) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    DSTC_ASSERT(device < alive_.size());
-    return alive_[device] != 0;
-}
-
-size_t
-ClusterScheduler::aliveDevices() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t count = 0;
-    for (uint8_t a : alive_)
-        count += a;
-    return count;
-}
-
 void
 ClusterScheduler::completed(size_t device)
 {
@@ -256,7 +238,6 @@ Cluster::Cluster(ClusterOptions options)
     for (const GpuConfig &cfg : options_.devices) {
         SessionOptions so;
         so.config = cfg;
-        so.encode_workers = options_.encode_workers;
         so.resources = options_.resources;
         so.shared_pool = pool_.get();
         so.shared_cache = &cache_;

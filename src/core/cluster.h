@@ -77,12 +77,8 @@ struct ClusterOptions
      *  Reports are bitwise identical for every setting. */
     int num_threads = 0;
 
-    /** Deprecated alias of resources.encode_workers (kept for old
-     *  call sites; resources wins when set). */
-    int encode_workers = 1;
-
-    /** Per-device execution resources (SessionOptions semantics). */
-    ExecutionResources resources;
+    /** Per-device worker budget (SessionOptions semantics). */
+    ExecutionResources resources = SessionOptions{}.resources;
 
     /** Shared-cache bounds (SessionOptions semantics). */
     size_t cache_capacity = EncodingCache::kDefaultCapacity;
@@ -133,8 +129,6 @@ class ClusterScheduler
      * least one device must stay eligible.
      */
     void setDeviceAlive(size_t device, bool alive);
-    bool deviceAlive(size_t device) const;
-    size_t aliveDevices() const;
 
     DeviceLoad load(size_t device) const;
     PlacementPolicy policy() const { return policy_; }

@@ -99,20 +99,17 @@ enum class Lowering
 };
 
 /**
- * Worker-thread budget of a request or session: the one consolidated
- * axis over the historical per-struct knobs. -1 inherits the next
- * level down, so the resolution order per request is
+ * Worker-thread budget of a request or session. Each axis resolves
+ * per request in three levels:
  *
- *   KernelRequest::resources
- *     -> the legacy per-request fields (SpGemmOptions::num_workers /
- *        ConvOptions::num_workers when set off their defaults)
+ *   KernelRequest::resources (-1 = inherit)
  *     -> SessionOptions::resources
- *     -> the legacy SessionOptions::encode_workers
  *     -> defaults (compute 0 = shared pool, encode 1 = serial).
  *
- * The legacy fields keep working as deprecated aliases; every worker
- * partitioning in the library is bitwise deterministic, so any
- * setting changes wall-clock only, never results.
+ * The Session hands the resolved compute count to the device layer
+ * as SpGemmOptions::num_workers / ConvOptions::num_workers. Every
+ * worker partitioning in the library is bitwise deterministic, so
+ * any setting changes wall-clock only, never results.
  */
 struct ExecutionResources
 {
@@ -392,15 +389,6 @@ struct KernelRequest
         return *this;
     }
 
-    /** Synthetic operating point: (A, B) sparsities. */
-    KernelRequest &
-    withSparsities(double a_value, double b_value)
-    {
-        a_sparsity = a_value;
-        b_sparsity = b_value;
-        return *this;
-    }
-
     /** Synthetic operating point: (A, B) cluster factors. */
     KernelRequest &
     withClusters(double a_value, double b_value)
@@ -410,26 +398,11 @@ struct KernelRequest
         return *this;
     }
 
-    /** Two-level K-chunk depth (the tunable dual-sparse tiling). */
-    KernelRequest &
-    withTileK(int value)
-    {
-        gemm_options.tile_k = value;
-        return *this;
-    }
-
     /** Compute values (true) or only time (false). */
     KernelRequest &
     withFunctional(bool value)
     {
         gemm_options.functional = value;
-        return *this;
-    }
-
-    KernelRequest &
-    withOuterProduct(bool value)
-    {
-        outer_product = value;
         return *this;
     }
 

@@ -6,6 +6,15 @@ namespace dstc {
 
 namespace {
 
+/** One row of the strategy table. */
+struct ConvMethodEntry
+{
+    ConvMethod conv;
+    Method method;
+    Lowering lowering;
+};
+
+/** All convolution strategies, in ConvMethod declaration order. */
 constexpr ConvMethodEntry kTable[] = {
     {ConvMethod::DenseExplicit, Method::Dense, Lowering::Explicit},
     {ConvMethod::DenseImplicit, Method::Dense, Lowering::Implicit},
@@ -18,12 +27,6 @@ constexpr ConvMethodEntry kTable[] = {
 };
 
 } // namespace
-
-std::span<const ConvMethodEntry>
-convMethodTable()
-{
-    return kTable;
-}
 
 ConvMethod
 toConvMethod(Method method, Lowering lowering)

@@ -22,50 +22,23 @@ Session::Session(SessionOptions options)
 
 Session::~Session() = default;
 
-namespace {
-
-/** Resolve the encode-worker axis (see ExecutionResources). */
-int
-resolveEncodeWorkers(const KernelRequest &request,
-                     const SessionOptions &options)
-{
-    if (request.resources.encode_workers >= 0)
-        return request.resources.encode_workers;
-    if (options.resources.encode_workers >= 0)
-        return options.resources.encode_workers;
-    return options.encode_workers; // deprecated alias
-}
-
-/**
- * Resolve the compute-worker axis: the request's resources win; the
- * session-level budget applies only when the legacy per-request
- * knobs sit at their defaults (an explicit legacy setting keeps
- * working as a deprecated alias). -1 = nothing to apply.
- */
-int
-resolveComputeWorkers(const KernelRequest &request,
-                      const SessionOptions &options)
-{
-    if (request.resources.compute_workers >= 0)
-        return request.resources.compute_workers;
-    if (request.gemm_options.num_workers == 0 &&
-        request.conv_options.num_workers == 0 &&
-        options.resources.compute_workers >= 0)
-        return options.resources.compute_workers;
-    return -1;
-}
-
-} // namespace
-
 std::unique_ptr<ExecutionPlan>
 Session::plan(const KernelRequest &request)
 {
     PlanContext ctx;
     ctx.cfg = &options_.config;
     ctx.cache = &encodingCache();
-    ctx.encode_workers = resolveEncodeWorkers(request, options_);
-    const int compute = resolveComputeWorkers(request, options_);
-    if (compute >= 0) {
+    // Three-level worker rule (see ExecutionResources): the
+    // request's axes win, -1 inherits the session's budget.
+    const ExecutionResources &own = request.resources;
+    const ExecutionResources &budget = options_.resources;
+    ctx.encode_workers = own.encode_workers >= 0 ? own.encode_workers
+                                                 : budget.encode_workers;
+    const int compute = own.compute_workers >= 0
+                            ? own.compute_workers
+                            : budget.compute_workers;
+    if (compute != request.gemm_options.num_workers ||
+        compute != request.conv_options.num_workers) {
         KernelRequest resolved = request;
         resolved.gemm_options.num_workers = compute;
         resolved.conv_options.num_workers = compute;

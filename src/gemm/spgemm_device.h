@@ -88,8 +88,8 @@ class SpGemmDevice
      * D = A x B over operands already in the two-level bitmap format
      * (A tiled tile_m x tile_k column-major, B tiled tile_k x tile_n
      * row-major). This is the encode-once / multiply-many entry
-     * point: weights are typically encoded offline (see
-     * sparse/serialize.h) and reused across inferences.
+     * point: weights are typically encoded once and reused across
+     * inferences.
      */
     SpGemmResult multiplyEncoded(const TwoLevelBitmapMatrix &a,
                                  const TwoLevelBitmapMatrix &b,

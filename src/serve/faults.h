@@ -22,8 +22,8 @@
  * Faults come from a FaultSpec — either scripted events parsed from
  * a compact CLI string, or `randcrash:<n>` events drawn by the
  * injector from its seed over the arrival window. Malformed specs
- * are returned as errors with a message (the serialize.h
- * malformed-input contract), never silently defaulted.
+ * are returned as errors with a message, never silently
+ * defaulted.
  *
  * The HealthTracker is the scoreboard the DeadlineScheduler
  * consults: which devices are alive, what slowdown factor applies at
@@ -107,8 +107,6 @@ class FaultInjector
      *  naming a device outside the fleet are dropped at
      *  construction (scripts are fleet-size agnostic). */
     const std::vector<FaultEvent> &events() const { return events_; }
-
-    double transientProb() const { return spec_.transient_prob; }
 
     /**
      * Whether attempt @p attempt of request @p id fails transiently

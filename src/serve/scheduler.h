@@ -55,8 +55,6 @@ class DeadlineScheduler : public ClusterScheduler
   public:
     DeadlineScheduler(ServePolicy policy, size_t num_devices);
 
-    ServePolicy servePolicy() const { return serve_policy_; }
-
     /** Whether device queues drain earliest-deadline-first. */
     bool edfOrder() const
     {

@@ -136,12 +136,8 @@ struct ServingOptions
      *  stats are identical for every setting). */
     int num_threads = 1;
 
-    /** Deprecated alias of resources.encode_workers (kept for old
-     *  call sites; resources wins when set). */
-    int encode_workers = 1;
-
-    /** Per-device execution resources (SessionOptions semantics). */
-    ExecutionResources resources;
+    /** Per-device worker budget (SessionOptions semantics). */
+    ExecutionResources resources = SessionOptions{}.resources;
 };
 
 /** Per-request outcome of a serving run. */

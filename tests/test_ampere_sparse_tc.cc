@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/cutlass_like.h"
 #include "baselines/zhu_sparse_tc.h"
 #include "common/rng.h"
+#include "gemm/dense_gemm.h"
 #include "model/pruning.h"
 #include "tensor/reference.h"
 
@@ -14,7 +14,8 @@ namespace {
 TEST(AmpereSparseTc, FixedSpeedupOverDense)
 {
     GpuConfig cfg = GpuConfig::v100();
-    const double dense = cutlassGemm(cfg, 4096, 4096, 4096).timeUs();
+    const double dense =
+        DenseGemmDevice(cfg).timeOnly(4096, 4096, 4096).timeUs();
     const double ampere =
         ampereGemm(cfg, 4096, 4096, 4096, 0.5).timeUs();
     EXPECT_NEAR(dense / ampere, kAmpereEffectiveSpeedup, 0.25);
@@ -45,7 +46,8 @@ TEST(AmpereSparseTc, MidwayBetweenDenseAndVectorWise)
     // its fixed speedup sits between dense and Zhu's on compute-
     // bound shapes.
     GpuConfig cfg = GpuConfig::v100();
-    const double dense = cutlassGemm(cfg, 4096, 4096, 4096).timeUs();
+    const double dense =
+        DenseGemmDevice(cfg).timeOnly(4096, 4096, 4096).timeUs();
     const double ampere =
         ampereGemm(cfg, 4096, 4096, 4096, 0.5).timeUs();
     const double zhu = zhuGemm(cfg, 4096, 4096, 4096, 0.75).timeUs();

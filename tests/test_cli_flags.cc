@@ -106,6 +106,57 @@ TEST(CliFlags, ValuelessValueFlagFailsInsteadOfDefaulting)
                                     {"hw", "out-c"}));
 }
 
+TEST(CliFlags, ValueFlagsConsumeNegativeNumbers)
+{
+    // -1 is --hybrid-threshold's own default ("not pinned"), so it
+    // must be writable as a value, not read as a stray positional.
+    CliArgs args = parse({"gemm", "64", "64", "64", "--hybrid-threshold",
+                          "-1", "--a-sparsity", "-0.5", "--rate",
+                          "-1e3"});
+    ASSERT_EQ(args.positional.size(), 4u);
+    EXPECT_TRUE(args.validateFlags("gemm",
+                                   {"hybrid-threshold", "a-sparsity",
+                                    "rate"},
+                                   {"hybrid-threshold", "a-sparsity",
+                                    "rate"}));
+    EXPECT_DOUBLE_EQ(args.flagD("hybrid-threshold", 0.0), -1.0);
+    EXPECT_DOUBLE_EQ(args.flagD("a-sparsity", 0.0), -0.5);
+    EXPECT_DOUBLE_EQ(args.flagD("rate", 0.0), -1000.0);
+}
+
+TEST(CliFlags, NegativeValuesReachTheRangeChecks)
+{
+    // "serve bert --duration -1" must fail the positivity check, not
+    // the positional count.
+    CliArgs duration = parse({"serve", "bert", "--duration", "-1"});
+    EXPECT_TRUE(duration.checkPositionals("serve", 2));
+    EXPECT_TRUE(duration.validateFlags("serve", {"duration"},
+                                       {"duration"}));
+    EXPECT_FALSE(
+        checkPositiveFlag("duration", duration.flagD("duration", 1.0)));
+
+    CliArgs depth = parse({"serve", "mix", "--depth", "-3"});
+    EXPECT_TRUE(depth.checkPositionals("serve", 2));
+    EXPECT_TRUE(depth.validateFlags("serve", {"depth"}, {}, {"depth"}));
+    EXPECT_EQ(depth.flagI("depth", 0), -3);
+
+    CliArgs sparsity = parse({"conv", "--wsp", "-0.1"});
+    EXPECT_TRUE(sparsity.checkPositionals("conv", 1));
+    EXPECT_FALSE(checkSparsityFlag("wsp", sparsity.flagD("wsp", 0.0)));
+}
+
+TEST(CliFlags, DashTokensThatAreNotNumbersAreNotConsumed)
+{
+    // A flag name, or a dash token that is not a number, is never
+    // taken as the preceding flag's value.
+    CliArgs args = parse({"conv", "--hw", "-x", "--out-c", "-4"});
+    EXPECT_EQ(args.flag("hw", "?"), "");
+    EXPECT_EQ(args.flag("out-c", "?"), "-4");
+    ASSERT_EQ(args.positional.size(), 2u);
+    EXPECT_EQ(args.positional[1], "-x");
+    EXPECT_FALSE(args.checkPositionals("conv", 1));
+}
+
 TEST(CliFlags, StrayPositionalsAreRejected)
 {
     CliArgs args = parse({"backends", "stray"});

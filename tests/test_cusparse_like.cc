@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/cutlass_like.h"
 #include "common/rng.h"
+#include "gemm/dense_gemm.h"
 #include "tensor/reference.h"
 
 namespace dstc {
@@ -46,7 +46,8 @@ TEST(CusparseTime, PaperCrossoverShape)
     // (Sec. VI-C): ~1.75x slower than dense at A=90%, break-even
     // around A~95%, only ~1.67x faster at A=99.9%.
     GpuConfig cfg = GpuConfig::v100();
-    const double dense_us = cutlassGemm(cfg, 4096, 4096, 4096).timeUs();
+    const double dense_us =
+        DenseGemmDevice(cfg).timeOnly(4096, 4096, 4096).timeUs();
 
     const double t90 =
         cusparseGemmTimeExpected(cfg, 4096, 4096, 4096, 0.10, 0.01)

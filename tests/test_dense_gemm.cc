@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/cutlass_like.h"
 #include "common/rng.h"
+#include "core/session.h"
 #include "tensor/reference.h"
 
 namespace dstc {
@@ -62,12 +62,36 @@ TEST_F(DenseGemmTest, SmallProblemsAreMemoryOrLaunchBound)
 
 TEST(CutlassLike, WrapsDenseTiming)
 {
-    GpuConfig cfg = GpuConfig::v100();
-    KernelStats a = cutlassGemm(cfg, 2048, 2048, 2048);
-    DenseGemmDevice device(cfg);
+    // The dense backend's timing path is the CUTLASS-like baseline:
+    // the device's analytic timing under the "cutlass" kernel name.
+    Session session;
+    KernelStats a =
+        session
+            .run(KernelRequest::gemm(2048, 2048, 2048)
+                     .withMethod(Method::Dense))
+            .stats;
+    DenseGemmDevice device(session.config());
     KernelStats b = device.timeOnly(2048, 2048, 2048);
     EXPECT_DOUBLE_EQ(a.timeUs(), b.timeUs());
     EXPECT_EQ(a.name, "cutlass");
+}
+
+TEST(CutlassLike, FunctionalDenseReportsTheDeviceKernel)
+{
+    // With values requested, the dense backend runs the device's
+    // functional multiply and reports its stats under its own name.
+    Rng rng(133);
+    Matrix<float> a = randomSparseMatrix(64, 48, 0.5, rng);
+    Matrix<float> b = randomSparseMatrix(48, 32, 0.5, rng);
+    Session session;
+    KernelReport r = session.run(
+        KernelRequest::gemm(a, b).withMethod(Method::Dense));
+    DenseGemmResult direct =
+        DenseGemmDevice(session.config()).multiply(a, b);
+    EXPECT_EQ(r.stats.name, "dense_gemm");
+    EXPECT_DOUBLE_EQ(r.timeUs(), direct.stats.timeUs());
+    ASSERT_TRUE(r.d);
+    EXPECT_EQ(*r.d, direct.d);
 }
 
 } // namespace

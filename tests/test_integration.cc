@@ -4,8 +4,6 @@
  * benchmarks and examples run them, on sizes small enough to verify
  * functionally.
  */
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 #include "baselines/zhu_sparse_tc.h"
@@ -14,7 +12,6 @@
 #include "model/sparsity_gen.h"
 #include "model/zoo.h"
 #include "session_test_util.h"
-#include "sparse/serialize.h"
 #include "tensor/reference.h"
 
 namespace dstc {
@@ -165,21 +162,18 @@ TEST(Integration, TwoLevelBitmapHelpsClusteredHighSparsity)
     EXPECT_LT(skip_t, noskip_t);
 }
 
-TEST(Integration, DeploymentFlowSerializeEncodeMultiply)
+TEST(Integration, DeploymentFlowEncodeMultiply)
 {
-    // The offline-weights workflow: prune, serialize the bitmap
-    // checkpoint, reload it elsewhere, re-encode two-level, and run
-    // the encoded-operand SpGEMM across several "inference" batches.
+    // The offline-weights workflow: prune, round-trip the bitmap
+    // encoding, re-encode two-level, and run the encoded-operand
+    // SpGEMM across several "inference" batches.
     Rng rng(237);
     Session session;
     Matrix<float> weights =
         agpPrune(randomSparseMatrix(64, 96, 0.0, rng), 0.8, 6);
 
-    std::stringstream checkpoint;
-    saveBitmap(BitmapMatrix::encode(weights, Major::Row), checkpoint);
-    auto restored = loadBitmap(checkpoint);
-    ASSERT_TRUE(restored.has_value());
-    Matrix<float> reloaded = restored->decode();
+    Matrix<float> reloaded =
+        BitmapMatrix::encode(weights, Major::Row).decode();
     EXPECT_EQ(reloaded, weights);
 
     SpGemmOptions opts;

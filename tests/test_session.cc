@@ -4,8 +4,8 @@
 
 #include <vector>
 
-#include "baselines/cutlass_like.h"
 #include "common/rng.h"
+#include "gemm/dense_gemm.h"
 #include "gemm/spgemm_device.h"
 #include "hwmodel/area_power.h"
 #include "model/runner.h"
@@ -84,9 +84,9 @@ TEST(SessionTest, RunMatchesDeviceModels)
     KernelRequest dense = KernelRequest::gemm(2048, 1024, 512);
     dense.method = Method::Dense;
     expectStatsBitwiseEqual(session.run(dense).stats,
-                            cutlassGemm(session.config(), 2048, 1024,
-                                        512),
-                            "cutlassGemm");
+                            DenseGemmDevice(session.config())
+                                .timeOnly(2048, 1024, 512),
+                            "DenseGemmDevice::timeOnly");
 }
 
 TEST(SessionTest, SubmitReturnsFuture)
@@ -147,6 +147,38 @@ TEST(SessionTest, SingleThreadedSessionMatchesParallel)
     for (size_t i = 0; i < a.size(); ++i)
         expectStatsBitwiseEqual(a[i].stats, b[i].stats,
                                 "request " + std::to_string(i));
+}
+
+TEST(SessionTest, WorkerBudgetDefaultsAndOverrides)
+{
+    // The session level carries the library defaults (kernel tile
+    // loops on the shared pool, serial encoders); requests inherit
+    // them through -1 and may override either axis. Results are
+    // bitwise identical for every budget.
+    const ExecutionResources defaults = SessionOptions{}.resources;
+    EXPECT_EQ(defaults.compute_workers, 0);
+    EXPECT_EQ(defaults.encode_workers, 1);
+    EXPECT_EQ(KernelRequest{}.resources.compute_workers, -1);
+    EXPECT_EQ(KernelRequest{}.resources.encode_workers, -1);
+
+    Rng rng(139);
+    Matrix<float> a = randomSparseMatrix(96, 64, 0.6, rng);
+    Matrix<float> b = randomSparseMatrix(64, 80, 0.7, rng);
+    Session plain;
+    SessionOptions pooled_opts;
+    pooled_opts.resources = {.compute_workers = 3, .encode_workers = 0};
+    Session pooled(pooled_opts);
+    const KernelRequest req =
+        KernelRequest::gemm(a, b).withMethod(Method::DualSparse);
+    const KernelReport base = plain.run(req);
+    const KernelReport inherited = pooled.run(req);
+    KernelRequest serial = req;
+    serial.withResources({.compute_workers = 1, .encode_workers = 1});
+    const KernelReport overridden = pooled.run(serial);
+    for (const KernelReport *r : {&inherited, &overridden}) {
+        expectStatsBitwiseEqual(r->stats, base.stats, "budget");
+        EXPECT_EQ(*r->d, *base.d);
+    }
 }
 
 TEST(SessionTest, FunctionalGemmThroughSession)

@@ -12,18 +12,18 @@ BENCH_encode.json, BENCH_cluster.json, BENCH_spmm.json, ...):
     self-check this and exit non-zero on divergence.
  2. Speedup gate: for each measured point, the word-vs-scalar speedup
     must stay above an absolute floor (the word path may never be
-    slower than the scalar reference) and above `--tolerance` times
+    slower than the scalar reference) and above `TOLERANCE` times
     the worst matching reference speedup. Points are matched on their
     operating keys (sparsity / method / stride / clustered), not on
     shape or machine, so the gate survives CI hardware variance while
     still catching real pipeline regressions.
  3. Sanity gate: all stage timings must be positive and the pooled
     path must not be catastrophically slower than the single-thread
-    word path (`--parallel-slack`).
+    word path (`PARALLEL_SLACK`).
  4. Placement-quality gate (micro_cluster): on every heterogeneous
     device mix, cost-model placement must beat round-robin simulated
     makespan (ratio >= 1), and the ratio must stay above
-    `--tolerance` times the checked-in reference ratio. Simulated
+    `TOLERANCE` times the checked-in reference ratio. Simulated
     makespans are deterministic, so this gate is immune to CI
     hardware variance.
  5. Serving gate (micro_serve): on every heterogeneous device mix
@@ -40,10 +40,10 @@ BENCH_encode.json, BENCH_cluster.json, BENCH_spmm.json, ...):
  6. Hybrid-dispatch gate (micro_hybrid): on every point, reference
     and measured, the density-partitioned hybrid must match or beat
     the best single backend on simulated kernel time
-    (`--hybrid-floor`); the reference sweep and the measured quick
-    run must both show a material win (`--hybrid-win`) at a
+    (`HYBRID_FLOOR`); the reference sweep and the measured quick
+    run must both show a material win (`HYBRID_WIN`) at a
     mixed-density point; and measured ratios must track their
-    key-matched reference within `--hybrid-tolerance` (the ratios
+    key-matched reference within `HYBRID_TOLERANCE` (the ratios
     are simulated and deterministic, so the tolerance only absorbs
     intentional cost-model changes — a quick point that silently
     stops splitting fails this, not just the floor).
@@ -53,7 +53,7 @@ BENCH_encode.json, BENCH_cluster.json, BENCH_spmm.json, ...):
     guarantee (serial == pooled for all datatypes; integer datatypes
     also == the refGemmQuant golden model, and the word encoder ==
     the scalar encode under the same QuantSpec). On micro_spgemm the
-    int8 datapath must beat fp16 by `--precision-floor` on simulated
+    int8 datapath must beat fp16 by `PRECISION_FLOOR` on simulated
     kernel time at every memory-bound operating point (the narrow
     value lanes must actually shrink the modeled DRAM traffic); on
     micro_encode the int8 and int4 encoded footprints must be
@@ -65,8 +65,8 @@ BENCH_encode.json, BENCH_cluster.json, BENCH_spmm.json, ...):
     measured, must hold the full bitwise set (narrow == scalar
     reference == wide == csr, stable across worker counts); the
     reference sweep's corpus-median narrow-vs-wide ratio must stay
-    >= `--spmm-median-win`; Auto format selection must stay within
-    `--spmm-select-slack` of the better format everywhere; and the
+    >= `SPMM_MEDIAN_WIN`; Auto format selection must stay within
+    `SPMM_SELECT_SLACK` of the better format everywhere; and the
     selected dual kernel must never lose to the cusparse-like
     baseline. All simulated, deterministic ratios.
 
@@ -83,6 +83,38 @@ import os
 import subprocess
 import sys
 import tempfile
+
+# Gate thresholds. Simulated-time ratios are deterministic, so the
+# tolerances on them only absorb intentional cost-model changes.
+# Measured speedup must be >= TOLERANCE * the worst key-matched
+# reference speedup (also the cluster/serve reference-ratio band).
+TOLERANCE = 0.40
+# Absolute speedup floor: the word path may never be slower than
+# the scalar reference.
+MIN_SPEEDUP = 1.0
+# The pooled path may be at most this factor slower than the
+# single-thread word path.
+PARALLEL_SLACK = 2.0
+# Hybrid dispatch may never lose to the best single backend.
+HYBRID_FLOOR = 0.999
+# Required hybrid advantage at the best mixed-density point,
+# reference and measured.
+HYBRID_WIN = 1.15
+# Measured hybrid ratios must stay within this factor of their
+# key-matched reference.
+HYBRID_TOLERANCE = 0.95
+# Required corpus-median narrow-vs-wide advantage on the reference
+# SpMM sweep.
+SPMM_MEDIAN_WIN = 2.0
+# Auto format selection may be at most this factor worse than the
+# better format on any corpus matrix.
+SPMM_SELECT_SLACK = 1.05
+# Measured narrow-vs-wide ratios must stay within this factor of
+# their key-matched reference.
+SPMM_TOLERANCE = 0.95
+# Required int8-over-fp16 advantage on simulated kernel time at
+# memory-bound precision points.
+PRECISION_FLOOR = 1.3
 
 # Operating-point keys per bench: reference points are matched to
 # measured points on these fields only (never on size/shape/machine).
@@ -199,7 +231,7 @@ def makespan_ratio(points, devices):
     return rr / cost
 
 
-def check_cluster(name, ref_points, meas_points, args):
+def check_cluster(name, ref_points, meas_points):
     """Placement-quality gate: deterministic simulated makespans, so
     the measured ratios should track the reference exactly; the
     tolerance only absorbs intentional timing-model changes."""
@@ -220,11 +252,11 @@ def check_cluster(name, ref_points, meas_points, args):
                           f"({ratio:.2f}x) lost to round-robin")
         ref_ratio = makespan_ratio(ref_points, devices)
         if ref_ratio is not None and \
-                ratio < args.tolerance * ref_ratio:
+                ratio < TOLERANCE * ref_ratio:
             mix_ok = fail(f"{name}: {devices} placement quality "
                           f"{ratio:.2f}x regressed below "
-                          f"{args.tolerance * ref_ratio:.2f}x "
-                          f"(= {args.tolerance:.2f} x reference "
+                          f"{TOLERANCE * ref_ratio:.2f}x "
+                          f"(= {TOLERANCE:.2f} x reference "
                           f"{ref_ratio:.2f}x)")
         if mix_ok:
             print(f"check_bench: {name}: {devices} placement "
@@ -256,11 +288,11 @@ SERVE_METRICS = (
 )
 
 
-def check_serve(name, ref_points, meas_points, args):
+def check_serve(name, ref_points, meas_points):
     """Tail-latency/goodput gate: on every heterogeneous device mix
     and load level, deadline-aware placement must beat round-robin on
     p99 and goodput (ratio >= 1), and each ratio must stay above
-    `--tolerance` times the checked-in reference ratio. Serving
+    `TOLERANCE` times the checked-in reference ratio. Serving
     metrics are simulated and deterministic, so the tolerance only
     absorbs intentional timing- or policy-model changes."""
     ok = True
@@ -292,12 +324,12 @@ def check_serve(name, ref_points, meas_points, args):
                 ref = serve_ratio(ref_points, devices, load, field,
                                   better)
                 if ref is not None and \
-                        ratio < args.tolerance * ref:
+                        ratio < TOLERANCE * ref:
                     point_ok = fail(
                         f"{name}: {devices}@{load} {label} advantage "
                         f"{ratio:.2f}x regressed below "
-                        f"{args.tolerance * ref:.2f}x (= "
-                        f"{args.tolerance:.2f} x reference "
+                        f"{TOLERANCE * ref:.2f}x (= "
+                        f"{TOLERANCE:.2f} x reference "
                         f"{ref:.2f}x)")
                 if point_ok:
                     print(f"check_bench: {name}: {devices}@{load} "
@@ -324,7 +356,7 @@ def recovery_goodput_ratio(points):
     return recovered / baseline
 
 
-def check_serve_faults(name, ref_points, meas_points, args):
+def check_serve_faults(name, ref_points, meas_points):
     """Fault-recovery gate: the fault sweep's deterministic recovery
     quality. Crash script: failover goodput >= the no-recovery
     baseline, within tolerance of the reference ratio. Transient-only
@@ -345,11 +377,11 @@ def check_serve_faults(name, ref_points, meas_points, args):
                       f"baseline")
         ref = recovery_goodput_ratio(
             [p for p in ref_points if p.get("faults", "")])
-        if ref is not None and ratio < args.tolerance * ref:
+        if ref is not None and ratio < TOLERANCE * ref:
             ok = fail(f"{name}: recovery goodput advantage "
                       f"{ratio:.2f}x regressed below "
-                      f"{args.tolerance * ref:.2f}x (= "
-                      f"{args.tolerance:.2f} x reference {ref:.2f}x)")
+                      f"{TOLERANCE * ref:.2f}x (= "
+                      f"{TOLERANCE:.2f} x reference {ref:.2f}x)")
         if ok:
             print(f"check_bench: {name}: crash-script recovery "
                   f"goodput {ratio:.2f}x vs no-recovery baseline")
@@ -380,29 +412,29 @@ def check_serve_faults(name, ref_points, meas_points, args):
     return ok
 
 
-def check_hybrid(name, ref_points, meas_points, args):
+def check_hybrid(name, ref_points, meas_points):
     """Hybrid-dispatch gate: the intra-request split must never lose
     to the best single backend, must win materially at a
     mixed-density point, and measured ratios must track their
     key-matched reference. ratio_vs_best compares simulated kernel
-    times, which are deterministic, so `--hybrid-tolerance` only
+    times, which are deterministic, so `HYBRID_TOLERANCE` only
     absorbs intentional cost-model changes."""
     ok = True
     for side, pts in (("reference", ref_points),
                       ("measured", meas_points)):
         for p in pts:
             ratio = p.get("ratio_vs_best", 0.0)
-            if ratio < args.hybrid_floor:
+            if ratio < HYBRID_FLOOR:
                 ok = fail(f"{name} ({side}): {point_label(p)} hybrid "
                           f"({ratio:.4f}x) lost to the best single "
-                          f"backend (floor {args.hybrid_floor:.4f}x)")
+                          f"backend (floor {HYBRID_FLOOR:.4f}x)")
         mixed = [p.get("ratio_vs_best", 0.0) for p in pts
                  if 0.0 < p.get("mix", 0.0) < 1.0]
         best = max(mixed, default=0.0)
-        if best < args.hybrid_win:
+        if best < HYBRID_WIN:
             ok = fail(f"{name} ({side}): best mixed-density win "
                       f"{best:.2f}x fell below the material-win "
-                      f"threshold {args.hybrid_win:.2f}x — the "
+                      f"threshold {HYBRID_WIN:.2f}x — the "
                       f"partition no longer pays off anywhere")
         else:
             print(f"check_bench: {name} ({side}): best mixed-density "
@@ -418,28 +450,28 @@ def check_hybrid(name, ref_points, meas_points, args):
                   f"no reference point with the same operating key; "
                   f"floor only")
             continue
-        threshold = args.hybrid_tolerance * min(matches)
+        threshold = HYBRID_TOLERANCE * min(matches)
         if ratio < threshold:
             ok = fail(f"{name}: {point_label(p)} hybrid advantage "
                       f"{ratio:.4f}x regressed below "
                       f"{threshold:.4f}x (= "
-                      f"{args.hybrid_tolerance:.2f} x reference "
+                      f"{HYBRID_TOLERANCE:.2f} x reference "
                       f"{min(matches):.4f}x)")
     return ok
 
 
-def check_spmm(name, ref_points, meas_points, args):
+def check_spmm(name, ref_points, meas_points):
     """SpMM gate (micro_spmm): the narrow-tile format's real-matrix
     claims. Hard, both sides: every point must also be bitwise stable
     across worker counts (workers_bitwise_equal; plain bitwise_equal
     — narrow == scalar reference == wide == csr — is already gated by
     check_points). Reference sweep: the corpus-median narrow-vs-wide
-    ratio must stay >= `--spmm-median-win` (the tentpole's headline
+    ratio must stay >= `SPMM_MEDIAN_WIN` (the tentpole's headline
     claim at 99%+ sparsity). Every point, both sides: Auto format
-    selection must stay within `--spmm-select-slack` of the better
+    selection must stay within `SPMM_SELECT_SLACK` of the better
     format, and the selected dual kernel must never lose to the
     cusparse-like baseline. All ratios compare simulated kernel
-    times, which are deterministic, so `--spmm-tolerance` on the
+    times, which are deterministic, so `SPMM_TOLERANCE` on the
     measured-vs-reference ratio only absorbs intentional cost-model
     changes."""
     ok = True
@@ -461,11 +493,11 @@ def check_spmm(name, ref_points, meas_points, args):
             if not best > 0.0 or not sel > 0.0:
                 ok = fail(f"{name} ({side}): {label} has "
                           f"non-positive simulated times")
-            elif sel > args.spmm_select_slack * best:
+            elif sel > SPMM_SELECT_SLACK * best:
                 ok = fail(f"{name} ({side}): {label} Auto selection "
                           f"picked a format {sel / best:.3f}x the "
                           f"best (slack "
-                          f"{args.spmm_select_slack:.2f}x)")
+                          f"{SPMM_SELECT_SLACK:.2f}x)")
 
     ratios = sorted(p.get("narrow_vs_wide", 0.0) for p in ref_points)
     if not ratios:
@@ -474,10 +506,10 @@ def check_spmm(name, ref_points, meas_points, args):
         mid = len(ratios) // 2
         median = ratios[mid] if len(ratios) % 2 else \
             0.5 * (ratios[mid - 1] + ratios[mid])
-        if median < args.spmm_median_win:
+        if median < SPMM_MEDIAN_WIN:
             ok = fail(f"{name}: corpus-median narrow-vs-wide ratio "
                       f"{median:.2f}x fell below the "
-                      f"{args.spmm_median_win:.2f}x headline floor")
+                      f"{SPMM_MEDIAN_WIN:.2f}x headline floor")
         else:
             print(f"check_bench: {name}: corpus-median narrow-vs-"
                   f"wide {median:.2f}x over {len(ratios)} matrices")
@@ -492,17 +524,17 @@ def check_spmm(name, ref_points, meas_points, args):
                   f"no reference point with the same operating key; "
                   f"selection/baseline gates only")
             continue
-        threshold = args.spmm_tolerance * min(matches)
+        threshold = SPMM_TOLERANCE * min(matches)
         if ratio < threshold:
             ok = fail(f"{name}: {point_label(p)} narrow-vs-wide "
                       f"{ratio:.4f}x regressed below "
                       f"{threshold:.4f}x (= "
-                      f"{args.spmm_tolerance:.2f} x reference "
+                      f"{SPMM_TOLERANCE:.2f} x reference "
                       f"{min(matches):.4f}x)")
     return ok
 
 
-def check_precision(name, mode, ref_points, meas_points, args):
+def check_precision(name, mode, ref_points, meas_points):
     """Precision-axis gate (see module docstring, gate 7)."""
     ok = True
     for side, pts in (("reference", ref_points),
@@ -532,11 +564,11 @@ def check_precision(name, mode, ref_points, meas_points, args):
                 gated = True
                 ratio = f16.get("modeled_us", 0.0) / \
                     max(i8.get("modeled_us", 0.0), 1e-9)
-                if ratio < args.precision_floor:
+                if ratio < PRECISION_FLOOR:
                     ok = fail(
                         f"{name} ({side}): int8 advantage over fp16 "
                         f"at sparsity={sparsity} is {ratio:.2f}x, "
-                        f"below the {args.precision_floor:.2f}x "
+                        f"below the {PRECISION_FLOOR:.2f}x "
                         f"floor on simulated kernel time")
                 else:
                     print(f"check_bench: {name} ({side}): int8 "
@@ -597,30 +629,29 @@ def check_bench(name, spec, args):
                       require_positive=True) and ok
 
     if spec.get("mode") == "cluster":
-        ok = check_cluster(name, ref_points, meas_points, args) and ok
+        ok = check_cluster(name, ref_points, meas_points) and ok
         if ok:
             print(f"check_bench: {name}: "
                   f"{len(meas_points)} quick points green")
         return ok
 
     if spec.get("mode") == "serve":
-        ok = check_serve(name, ref_points, meas_points, args) and ok
-        ok = check_serve_faults(name, ref_points, meas_points,
-                                args) and ok
+        ok = check_serve(name, ref_points, meas_points) and ok
+        ok = check_serve_faults(name, ref_points, meas_points) and ok
         if ok:
             print(f"check_bench: {name}: "
                   f"{len(meas_points)} quick points green")
         return ok
 
     if spec.get("mode") == "hybrid":
-        ok = check_hybrid(name, ref_points, meas_points, args) and ok
+        ok = check_hybrid(name, ref_points, meas_points) and ok
         if ok:
             print(f"check_bench: {name}: "
                   f"{len(meas_points)} quick points green")
         return ok
 
     if spec.get("mode") == "spmm":
-        ok = check_spmm(name, ref_points, meas_points, args) and ok
+        ok = check_spmm(name, ref_points, meas_points) and ok
         if ok:
             print(f"check_bench: {name}: "
                   f"{len(meas_points)} quick points green")
@@ -631,10 +662,10 @@ def check_bench(name, spec, args):
         speedup = p.get("speedup_word_vs_scalar", 0.0)
         label = point_label(p)
 
-        if speedup < args.min_speedup:
+        if speedup < MIN_SPEEDUP:
             ok = fail(f"{name}: {label} word path speedup {speedup:.2f}x "
                       f"fell below the absolute floor "
-                      f"{args.min_speedup:.2f}x")
+                      f"{MIN_SPEEDUP:.2f}x")
 
         matches = [r.get("speedup_word_vs_scalar", 0.0)
                    for r in ref_points
@@ -644,11 +675,11 @@ def check_bench(name, spec, args):
                   f"reference point with the same operating key; "
                   f"absolute floor only")
             continue
-        threshold = args.tolerance * min(matches)
+        threshold = TOLERANCE * min(matches)
         if speedup < threshold:
             ok = fail(
                 f"{name}: {label} speedup {speedup:.2f}x regressed "
-                f"below {threshold:.2f}x (= {args.tolerance:.2f} x "
+                f"below {threshold:.2f}x (= {TOLERANCE:.2f} x "
                 f"reference {min(matches):.2f}x)")
 
         # Single-rep timings are one raw sample each; a late pool
@@ -662,16 +693,16 @@ def check_bench(name, spec, args):
         par = p.get("parallel_ms", 0.0)
         word = p.get("word_ms", 0.0)
         if reps >= 2 and cores != 1 and par > 0 and word > 0 and \
-                par > args.parallel_slack * word:
+                par > PARALLEL_SLACK * word:
             ok = fail(f"{name}: {label} pooled path ({par:.3f} ms) "
-                      f"is worse than {args.parallel_slack:.1f}x the "
+                      f"is worse than {PARALLEL_SLACK:.1f}x the "
                       f"single-thread word path ({word:.3f} ms)")
 
     if spec.get("precision"):
         ok = check_precision(name, spec["precision"],
                              reference.get("precision_points", []),
-                             measured.get("precision_points", []),
-                             args) and ok
+                             measured.get("precision_points",
+                                          [])) and ok
 
     if ok:
         print(f"check_bench: {name}: "
@@ -685,45 +716,6 @@ def main():
                         help="CMake build directory (bench binaries)")
     parser.add_argument("--repo-root", default=".",
                         help="directory of the BENCH_*.json references")
-    parser.add_argument("--tolerance", type=float, default=0.40,
-                        help="measured speedup must be >= tolerance * "
-                             "worst matching reference speedup")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="absolute speedup floor: the word path "
-                             "may never be slower than scalar")
-    parser.add_argument("--parallel-slack", type=float, default=2.0,
-                        help="pooled path may be at most this factor "
-                             "slower than single-thread (1-core CI)")
-    parser.add_argument("--hybrid-floor", type=float, default=0.999,
-                        help="hybrid dispatch may never lose to the "
-                             "best single backend (simulated time)")
-    parser.add_argument("--hybrid-win", type=float, default=1.15,
-                        help="required hybrid advantage at the best "
-                             "mixed-density point, reference and "
-                             "measured")
-    parser.add_argument("--hybrid-tolerance", type=float,
-                        default=0.95,
-                        help="measured hybrid ratios must stay "
-                             "within this factor of their "
-                             "key-matched reference (deterministic "
-                             "simulated ratios)")
-    parser.add_argument("--spmm-median-win", type=float, default=2.0,
-                        help="required corpus-median narrow-vs-wide "
-                             "advantage on the reference SpMM sweep")
-    parser.add_argument("--spmm-select-slack", type=float,
-                        default=1.05,
-                        help="Auto format selection may be at most "
-                             "this factor worse than the better "
-                             "format on any corpus matrix")
-    parser.add_argument("--spmm-tolerance", type=float, default=0.95,
-                        help="measured narrow-vs-wide ratios must "
-                             "stay within this factor of their "
-                             "key-matched reference (deterministic "
-                             "simulated ratios)")
-    parser.add_argument("--precision-floor", type=float, default=1.3,
-                        help="required int8-over-fp16 advantage on "
-                             "simulated kernel time at memory-bound "
-                             "precision points")
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="per-bench quick-run timeout in seconds")
     args = parser.parse_args()
