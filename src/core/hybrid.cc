@@ -44,40 +44,17 @@ constexpr int kMaxThresholds = 8;
  */
 constexpr double kSplitMargin = 0.98;
 
-/** Fallback backend instances for plans issued without a registry
- *  (PlanContext::registry is null when a backend is planned
- *  directly). Stateless and shared. */
-const Backend *
-fallbackBackend(Method method)
-{
-    static const std::unique_ptr<Backend> dual =
-        makeDualSparseBackend();
-    static const std::unique_ptr<Backend> dense = makeDenseBackend();
-    static const std::unique_ptr<Backend> ampere =
-        makeAmpereSparseBackend();
-    static const std::unique_ptr<Backend> cusparse =
-        makeCusparseLikeBackend();
-    switch (method) {
-    case Method::DualSparse:
-        return dual.get();
-    case Method::Dense:
-        return dense.get();
-    case Method::AmpereSparse:
-        return ampere.get();
-    case Method::CusparseLike:
-        return cusparse.get();
-    default:
-        panic("hybrid routes no class to ", methodName(method));
-    }
-}
-
+/** The primitive backend a class routes to. Every hybrid plan comes
+ *  from KernelRegistry::plan (or planHybridSplit with a registry), so
+ *  the issuing registry is always set. */
 const Backend *
 resolveBackend(const PlanContext &ctx, Method method)
 {
-    if (ctx.registry)
-        if (const Backend *b = ctx.registry->find(method))
-            return b;
-    return fallbackBackend(method);
+    DSTC_ASSERT(ctx.registry, "hybrid planned without a registry");
+    const Backend *backend = ctx.registry->find(method);
+    if (!backend)
+        panic("hybrid routes no class to ", methodName(method));
+    return backend;
 }
 
 /**

@@ -86,10 +86,9 @@ struct HybridSplit
  * return the min-total partition with its routing. Deterministic —
  * a pure function of the request content — so replays and re-runs
  * partition identically for any worker count or submission path.
- * ctx.registry supplies the candidate backends when set (the normal
- * KernelRegistry::plan path); otherwise the composer falls back to
- * private default instances. @p cache_hit (optional) reports whether
- * the operands' profile view came from the EncodingCache.
+ * ctx.registry (required; KernelRegistry::plan sets it) supplies the
+ * candidate backends. @p cache_hit (optional) reports whether the
+ * operands' profile view came from the EncodingCache.
  */
 HybridSplit planHybridSplit(const KernelRequest &req,
                             const PlanContext &ctx,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/logging.h"
 
@@ -74,6 +75,29 @@ buildPoolInfo(Cluster &cluster, const std::vector<KernelRequest> &pool)
     return info;
 }
 
+/**
+ * Healthy per-device capacity in requests per simulated ms. One
+ * dispatch overhead is charged per request — the no-batching worst
+ * case, so "1.0x capacity" is a true saturation point even for
+ * policies that never form micro-batches. (For this pool's ~2us
+ * kernels the overhead is roughly half the effective service time,
+ * not a rounding error.)
+ */
+std::vector<double>
+deviceCapacityRpms(const std::vector<PoolEntryInfo> &info,
+                   size_t num_devices, double dispatch_overhead_us)
+{
+    std::vector<double> capacity(num_devices, 0.0);
+    for (size_t d = 0; d < num_devices; ++d) {
+        double sum_us = 0.0;
+        for (const PoolEntryInfo &entry : info)
+            sum_us += entry.estimate_us[d] + dispatch_overhead_us;
+        if (sum_us > 0.0)
+            capacity[d] = 1e3 * static_cast<double>(info.size()) / sum_us;
+    }
+    return capacity;
+}
+
 /** One dispatched request (or hedge arm) executing on a device. */
 struct InFlight
 {
@@ -97,24 +121,11 @@ struct PendingRetry
 double
 ServingEngine::estimatedCapacityRpms()
 {
-    const std::vector<PoolEntryInfo> info =
-        buildPoolInfo(*cluster_, pool_);
-    double capacity = 0.0;
-    for (size_t d = 0; d < cluster_->numDevices(); ++d) {
-        double sum_us = 0.0;
-        // One dispatch overhead per request — the no-batching worst
-        // case, so "1.0x capacity" is a true saturation point even
-        // for policies that never form micro-batches. (For this
-        // pool's ~2us kernels the overhead is roughly half the
-        // effective service time, not a rounding error.)
-        for (const PoolEntryInfo &entry : info)
-            sum_us +=
-                entry.estimate_us[d] + options_.dispatch_overhead_us;
-        if (sum_us > 0.0)
-            capacity +=
-                1e3 * static_cast<double>(pool_.size()) / sum_us;
-    }
-    return capacity;
+    const std::vector<double> capacity =
+        deviceCapacityRpms(buildPoolInfo(*cluster_, pool_),
+                           cluster_->numDevices(),
+                           options_.dispatch_overhead_us);
+    return std::accumulate(capacity.begin(), capacity.end(), 0.0);
 }
 
 ServingResult
@@ -142,21 +153,13 @@ ServingEngine::run()
     HealthTracker health(n);
     FaultRecoveryStats fr;
 
-    // Healthy per-device capacity (requests per simulated ms, the
-    // estimatedCapacityRpms summand): the yardstick graceful
-    // degradation rescales the admission depth against.
-    std::vector<double> device_capacity(n, 0.0);
-    double full_capacity = 0.0;
-    for (size_t d = 0; d < n; ++d) {
-        double sum_us = 0.0;
-        for (const PoolEntryInfo &entry : info)
-            sum_us +=
-                entry.estimate_us[d] + options_.dispatch_overhead_us;
-        if (sum_us > 0.0)
-            device_capacity[d] =
-                1e3 * static_cast<double>(pool_.size()) / sum_us;
-        full_capacity += device_capacity[d];
-    }
+    // Healthy per-device capacity (the estimatedCapacityRpms
+    // summands): the yardstick graceful degradation rescales the
+    // admission depth against.
+    const std::vector<double> device_capacity =
+        deviceCapacityRpms(info, n, options_.dispatch_overhead_us);
+    const double full_capacity = std::accumulate(
+        device_capacity.begin(), device_capacity.end(), 0.0);
     double surviving_capacity = full_capacity;
     // Feasibility headroom under degradation: with a fraction r of
     // the fleet's capacity surviving, queues drain 1/r times slower,
@@ -195,30 +198,36 @@ ServingEngine::run()
                health.slowdownFactor(d, t);
     };
 
-    // Re-place a drained / retried request on the surviving fleet.
-    // Returns false when no device is alive (the caller accounts the
-    // loss). Mirrors the arrival placement path, minus admission
-    // control: recovery re-placements were admitted once already and
-    // re-enter the queue unbounded.
-    auto requeue = [&](QueuedRequest qr, double now) {
-        if (health.aliveCount() == 0)
-            return false;
+    // The device a request is placed on at @p now: the scheduler sees
+    // every live device's scaled estimate, ready time and backlog (the
+    // EDF backlog ahead of @p deadline_us).
+    auto place = [&](size_t pool_index, double deadline_us, double now) {
         std::vector<double> estimates(n, 0.0), ready(n, now),
             backlog(n, 0.0);
         for (size_t d = 0; d < n; ++d) {
             if (!health.alive(d))
                 continue;
-            estimates[d] = scaledEstimate(qr.pool_index, d, now);
+            estimates[d] = scaledEstimate(pool_index, d, now);
             ready[d] = busy[d] ? free_at[d] : now;
-            backlog[d] = edf
-                             ? queue.backlogBeforeUs(d, qr.deadline_us)
+            backlog[d] = edf ? queue.backlogBeforeUs(d, deadline_us)
                              : queue.backlogUs(d);
         }
-        const size_t dev = scheduler.placeArrival(
+        return scheduler.placeArrival(
             options_.policy == ServePolicy::RoundRobin
                 ? std::vector<double>{}
                 : estimates,
-            ready, backlog, qr.deadline_us);
+            ready, backlog, deadline_us);
+    };
+
+    // Re-place a drained / retried request on the surviving fleet.
+    // Returns false when no device is alive (the caller accounts the
+    // loss). The arrival placement path minus admission control:
+    // recovery re-placements were admitted once already and re-enter
+    // the queue unbounded.
+    auto requeue = [&](QueuedRequest qr, double now) {
+        if (health.aliveCount() == 0)
+            return false;
+        const size_t dev = place(qr.pool_index, qr.deadline_us, now);
         qr.device = dev;
         qr.estimate_us = scaledEstimate(qr.pool_index, dev, now);
         const ServingQueue::Admit admitted =
@@ -319,6 +328,32 @@ ServingEngine::run()
         }
     };
 
+    // Execute @p qr on device @p dev from @p start_us: the bitwise
+    // single-request report, its slowdown-scaled finish, and whether
+    // this attempt fails transiently.
+    auto execute = [&](const QueuedRequest &qr, size_t dev,
+                       double start_us) {
+        InFlight fl;
+        ServeOutcome &outcome = fl.outcome;
+        outcome.id = qr.id;
+        outcome.pool_index = qr.pool_index;
+        outcome.device = dev;
+        outcome.deadline_class = qr.deadline_class;
+        outcome.arrival_us = qr.arrival_us;
+        outcome.deadline_us = qr.deadline_us;
+        outcome.attempts = qr.attempts;
+        outcome.failed_over = qr.failed_over;
+        outcome.start_us = start_us;
+        outcome.report = cluster_->device(dev).run(pool_[qr.pool_index]);
+        outcome.report.device = static_cast<int>(dev);
+        outcome.finish_us =
+            start_us + outcome.report.timeUs() *
+                           health.slowdownFactor(dev, start_us);
+        outcome.met_deadline = outcome.finish_us <= qr.deadline_us;
+        fl.fails = injector.transientFails(qr.id, qr.attempts, dev);
+        return fl;
+    };
+
     // Dispatch work to an idle live device: pop (or steal) a head
     // request, extend it with encoding-compatible batch mates (or
     // hedge an interactive head onto a second device), and execute
@@ -387,32 +422,10 @@ ServingEngine::run()
             const size_t arms[2] = {d, hedge_dev};
             for (int a = 0; a < 2; ++a) {
                 const size_t dev = arms[a];
-                ServeOutcome outcome;
-                outcome.id = head->id;
-                outcome.pool_index = head->pool_index;
-                outcome.device = dev;
-                outcome.deadline_class = head->deadline_class;
-                outcome.arrival_us = head->arrival_us;
-                outcome.deadline_us = head->deadline_us;
-                outcome.stolen = stolen && a == 0;
-                outcome.attempts = head->attempts;
-                outcome.failed_over = head->failed_over;
-                outcome.hedged = true;
-                outcome.start_us =
-                    now + options_.dispatch_overhead_us;
-                outcome.report = cluster_->device(dev).run(
-                    pool_[head->pool_index]);
-                outcome.report.device = static_cast<int>(dev);
-                outcome.finish_us =
-                    outcome.start_us +
-                    outcome.report.timeUs() *
-                        health.slowdownFactor(dev, outcome.start_us);
-                outcome.met_deadline =
-                    outcome.finish_us <= head->deadline_us;
-                InFlight fl;
-                fl.outcome = std::move(outcome);
-                fl.fails = injector.transientFails(
-                    head->id, head->attempts, dev);
+                InFlight fl = execute(
+                    *head, dev, now + options_.dispatch_overhead_us);
+                fl.outcome.stolen = stolen && a == 0;
+                fl.outcome.hedged = true;
                 fl.hedge_partner = arms[1 - a];
                 fl.hedge_secondary = a == 1;
                 free_at[dev] = fl.outcome.finish_us;
@@ -435,30 +448,10 @@ ServingEngine::run()
         }
         double t = now + options_.dispatch_overhead_us;
         for (size_t i = 0; i < batch.size(); ++i) {
-            const QueuedRequest &member = batch[i];
-            ServeOutcome outcome;
-            outcome.id = member.id;
-            outcome.pool_index = member.pool_index;
-            outcome.device = d;
-            outcome.deadline_class = member.deadline_class;
-            outcome.arrival_us = member.arrival_us;
-            outcome.deadline_us = member.deadline_us;
-            outcome.stolen = stolen && i == 0;
-            outcome.batched_follower = i > 0;
-            outcome.attempts = member.attempts;
-            outcome.failed_over = member.failed_over;
-            outcome.start_us = t;
-            outcome.report =
-                cluster_->device(d).run(pool_[member.pool_index]);
-            outcome.report.device = static_cast<int>(d);
-            t += outcome.report.timeUs() *
-                 health.slowdownFactor(d, outcome.start_us);
-            outcome.finish_us = t;
-            outcome.met_deadline = t <= member.deadline_us;
-            InFlight fl;
-            fl.outcome = std::move(outcome);
-            fl.fails = injector.transientFails(member.id,
-                                               member.attempts, d);
+            InFlight fl = execute(batch[i], d, t);
+            fl.outcome.stolen = stolen && i == 0;
+            fl.outcome.batched_follower = i > 0;
+            t = fl.outcome.finish_us;
             inflight[d].push_back(std::move(fl));
         }
         free_at[d] = t;
@@ -637,21 +630,7 @@ ServingEngine::run()
             continue;
         }
 
-        std::vector<double> estimates(n, 0.0), ready(n, now),
-            backlog(n, 0.0);
-        for (size_t d = 0; d < n; ++d) {
-            if (!health.alive(d))
-                continue;
-            estimates[d] = scaledEstimate(arrival.pool_index, d, now);
-            ready[d] = busy[d] ? free_at[d] : now;
-            backlog[d] = edf ? queue.backlogBeforeUs(d, deadline)
-                             : queue.backlogUs(d);
-        }
-        const size_t dev = scheduler.placeArrival(
-            options_.policy == ServePolicy::RoundRobin
-                ? std::vector<double>{}
-                : estimates,
-            ready, backlog, deadline);
+        const size_t dev = place(arrival.pool_index, deadline, now);
 
         QueuedRequest qr;
         qr.id = arrival.id;

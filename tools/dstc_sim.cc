@@ -766,6 +766,19 @@ runServe(const CliArgs &args)
                          error.c_str());
             return 2;
         }
+        // The library drops events past the fleet (one spec serves
+        // several fleet sizes); on the command line that is a typo.
+        for (const FaultEvent &event : opts.faults.events) {
+            if (event.device >= opts.devices.size()) {
+                std::fprintf(stderr,
+                             "serve: bad --faults spec: device d%zu "
+                             "does not exist (the fleet has %zu "
+                             "devices, d0-d%zu)\n",
+                             event.device, opts.devices.size(),
+                             opts.devices.size() - 1);
+                return 2;
+            }
+        }
     }
     opts.fault_seed = args.flagU64("fault-seed", 0);
     opts.retry = args.hasFlag("retry");
