@@ -8,9 +8,9 @@
  *   backend->plan(request, ctx)   // resolve/encode operands
  *          ->execute()            // run, yielding a KernelReport
  *
- * plan() is where two-level bitmap construction, profile synthesis
- * and im2col lowering parameters are resolved — through the
- * EncodingCache, so repeated layers reuse their encodings. plans are
+ * The plan owns two-level bitmap construction, profile synthesis
+ * and the conv operand encodings, resolved on first need through the
+ * EncodingCache, so repeated layers reuse their encodings. Plans are
  * also the unit of Auto dispatch: estimatedTimeUs() lets the registry
  * compare candidate backends before committing to one.
  */
@@ -51,9 +51,16 @@ struct PlanContext
 };
 
 /**
- * A planned kernel: operands resolved/encoded, ready to execute.
- * Execution is memoized — execute() and estimatedTimeUs() share one
- * underlying run, so Auto dispatch never pays twice.
+ * A planned kernel, ready to execute. Operands resolve lazily: a plan
+ * reaches for its encodings only when run() or estimate() needs them,
+ * so a losing Auto candidate never pays for an encode it would not
+ * use. Execution is memoized per plan — execute() and
+ * estimatedTimeUs() share one underlying run, so Auto dispatch never
+ * pays twice. Across plans, the timing-only dual-sparse plans also
+ * share their stats through the EncodingCache's timing-stats family
+ * (see timingStatsKey in gemm_operands.h): a repeated operating point
+ * on the same GpuConfig reads its KernelStats from one entry,
+ * without resolving its operands.
  */
 class ExecutionPlan
 {

@@ -7,12 +7,14 @@
  * The density-partitioned hybrid composer that routes tile classes
  * across them lives in hybrid.cc.
  *
- * plan() resolves operand encodings through the EncodingCache:
+ * Plans resolve operand encodings through the EncodingCache:
  * two-level bitmap construction for functional dual-sparse GEMM,
  * popcount-profile synthesis for the timing sweeps, CSR encoding for
  * the cuSPARSE baseline and the conv operand encodings of the im2col
  * paths. execute() then runs the timing (or functional) model over
- * the resolved operands.
+ * the resolved operands. The timing-only dual-sparse and conv plans
+ * first look their stats up in the timing-stats family and resolve
+ * operands only on a miss.
  */
 #include "core/backend.h"
 
@@ -110,9 +112,7 @@ class DualGemmPlan : public ExecutionPlan
                 report.d = std::make_shared<const Matrix<float>>(
                     std::move(r.d));
         } else {
-            const GemmProfilesView &p = profiles();
-            report.stats = device.timeFromProfiles(
-                *p.a, *p.b, req_.gemm_options);
+            report.stats = timingStats();
         }
         return report;
     }
@@ -123,7 +123,7 @@ class DualGemmPlan : public ExecutionPlan
         // Functional requests estimate from a profile view so Auto
         // dispatch (and cluster cost-model placement) never runs a
         // candidate's kernel just to rank it; the timing-only shapes
-        // share the memoized run (never paying twice).
+        // share the memoized run, and so its timing-stats entry.
         if (req_.a_encoded && req_.b_encoded)
             return estimateEncoded();
         if (!(req_.a && req_.b))
@@ -135,6 +135,32 @@ class DualGemmPlan : public ExecutionPlan
     }
 
   private:
+    /**
+     * Stats of the timing-only shapes. A synthetic operating point
+     * is memoized in the timing-stats family under a key computed
+     * without building its profiles, so a hit skips the profile
+     * lookup as well as the timing model; borrowed profiles have no
+     * digestable identity and are timed afresh.
+     */
+    KernelStats
+    timingStats()
+    {
+        auto time = [this] {
+            const GemmProfilesView &p = profiles();
+            return SpGemmDevice(cfg_).timeFromProfiles(
+                *p.a, *p.b, req_.gemm_options);
+        };
+        if (req_.borrowsEncodings())
+            return time();
+        bool hit = false;
+        const KernelStats stats = *cache_->getOrBuild<KernelStats>(
+            timingStatsKey(syntheticGemmProfileKey(req_),
+                           req_.gemm_options, cfg_),
+            time, &hit);
+        cache_hit_ = cache_hit_ || hit;
+        return stats;
+    }
+
     /**
      * Estimate a pre-encoded request from profiles read off the
      * encodings (packing-offset reads, no value pass) — running the
@@ -242,10 +268,10 @@ class DualSpmmPlan : public ExecutionPlan
     KernelReport
     run() override
     {
-        SpmmDevice device(cfg_);
-        const SpmmFormat format = chosenFormat();
         KernelReport report;
         if (req_.a && req_.b) {
+            SpmmDevice device(cfg_);
+            const SpmmFormat format = chosenFormat();
             // Encodes are deferred to execution so a losing Auto
             // candidate (and the unchosen format) never pays for
             // them.
@@ -272,7 +298,7 @@ class DualSpmmPlan : public ExecutionPlan
                 report.d = std::make_shared<const Matrix<float>>(
                     std::move(r.d));
         } else {
-            report.stats = formatStats(format);
+            report.stats = timingStats();
         }
         return report;
     }
@@ -283,11 +309,39 @@ class DualSpmmPlan : public ExecutionPlan
         // The profile estimate of the chosen format — identical to
         // the executed stats by construction (shared count-folding
         // routine), so Auto ranks this plan at its true cost without
-        // encoding anything.
+        // encoding anything. Timing-only plans share the memoized
+        // run (and so the timing-stats entry).
+        if (!(req_.a && req_.b))
+            return ExecutionPlan::estimate();
         return formatStats(chosenFormat()).timeUs();
     }
 
   private:
+    /**
+     * Stats of a timing-only SpMM: the chosen format's profile
+     * estimate, memoized for synthetic operating points in the
+     * timing-stats family (keyed by the profile key, the dense
+     * width and the format override, so a hit resolves no
+     * profiles and makes no format choice).
+     */
+    KernelStats
+    timingStats()
+    {
+        auto time = [this] { return formatStats(chosenFormat()); };
+        if (req_.borrowsEncodings())
+            return time();
+        CacheKey operands("spmm-timing-operands");
+        operands.u64(syntheticSpmmProfileKey(req_))
+            .i64(req_.n)
+            .i32(static_cast<int32_t>(req_.spmm_format));
+        bool hit = false;
+        const KernelStats stats = *cache_->getOrBuild<KernelStats>(
+            timingStatsKey(operands.value(), req_.gemm_options, cfg_),
+            time, &hit);
+        cache_hit_ = cache_hit_ || hit;
+        return stats;
+    }
+
     SpmmFormat
     chosenFormat()
     {
@@ -350,42 +404,25 @@ class ConvPlan : public ExecutionPlan
     ConvPlan(const char *name, Method method, const KernelRequest &req,
              const PlanContext &ctx)
         : ExecutionPlan(name, method, req.tag), req_(req),
-          cfg_(*ctx.cfg),
+          cfg_(*ctx.cfg), cache_(ctx.cache),
           conv_method_(toConvMethod(method, req.lowering))
     {
-        if (!req_.functional()) {
-            bool hit = false;
-            const KernelRequest r = req_;
-            const ConvMethod cm = conv_method_;
-            encoding_ = ctx.cache->getOrBuild<ConvOperandEncoding>(
-                convKey(req_, cm).value(),
-                [r, cm] {
-                    return encodeConvOperands(
-                        r.shape, cm, r.b_sparsity, r.a_sparsity,
-                        r.seed, r.b_cluster, r.a_cluster);
-                },
-                &hit);
-            cache_hit_ = hit;
-        }
     }
 
   protected:
     KernelReport
     run() override
     {
-        ConvExecutor executor(cfg_);
         KernelReport report;
         if (req_.functional()) {
-            ConvResult r = executor.run(*req_.input, *req_.b,
-                                        req_.shape, conv_method_,
-                                        req_.conv_options);
+            ConvResult r = ConvExecutor(cfg_).run(
+                *req_.input, *req_.b, req_.shape, conv_method_,
+                req_.conv_options);
             report.stats = r.stats;
             report.output = std::make_shared<const Tensor4d>(
                 std::move(r.output));
         } else {
-            report.stats = executor.timeEncoded(req_.shape,
-                                                conv_method_,
-                                                *encoding_);
+            report.stats = timingStats();
         }
         return report;
     }
@@ -407,10 +444,48 @@ class ConvPlan : public ExecutionPlan
     }
 
   private:
+    /**
+     * Timing-only stats, memoized in the timing-stats family under
+     * the conv encoding's key. The encoding is resolved only on a
+     * stats miss, so a repeated layer (or a losing Auto candidate
+     * seen before) never touches it. The conv timing model runs its
+     * GEMM phase at the default SpGemmOptions whatever the request
+     * carries, so those are the options the key folds.
+     */
+    KernelStats
+    timingStats()
+    {
+        const uint64_t operand_key =
+            convKey(req_, conv_method_).value();
+        auto time = [this, operand_key] {
+            const KernelRequest &r = req_;
+            const ConvMethod cm = conv_method_;
+            bool hit = false;
+            const auto encoding =
+                cache_->getOrBuild<ConvOperandEncoding>(
+                    operand_key,
+                    [&r, cm] {
+                        return encodeConvOperands(
+                            r.shape, cm, r.b_sparsity, r.a_sparsity,
+                            r.seed, r.b_cluster, r.a_cluster);
+                    },
+                    &hit);
+            cache_hit_ = cache_hit_ || hit;
+            return ConvExecutor(cfg_).timeEncoded(r.shape, cm,
+                                                  *encoding);
+        };
+        bool hit = false;
+        const KernelStats stats = *cache_->getOrBuild<KernelStats>(
+            timingStatsKey(operand_key, SpGemmOptions{}, cfg_), time,
+            &hit);
+        cache_hit_ = cache_hit_ || hit;
+        return stats;
+    }
+
     KernelRequest req_;
     GpuConfig cfg_;
+    EncodingCache *cache_;
     ConvMethod conv_method_;
-    std::shared_ptr<const ConvOperandEncoding> encoding_;
 };
 
 class DualSparseBackend : public Backend

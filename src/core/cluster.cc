@@ -194,11 +194,9 @@ requestShardKey(const KernelRequest &request)
 std::optional<uint64_t>
 requestContentDigest(const KernelRequest &request)
 {
-    // Caller-owned pointer encodings are opaque here: hashing the
-    // pointer would alias recycled addresses, so those requests are
-    // never estimate-cached.
-    if (request.a_profile || request.b_profile ||
-        request.a_encoded || request.b_encoded)
+    // Caller-owned pointer encodings are opaque here, so those
+    // requests are never estimate-cached.
+    if (request.borrowsEncodings())
         return std::nullopt;
     CacheKey key = structuralKey(request);
     if (request.a)

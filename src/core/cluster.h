@@ -24,9 +24,10 @@
  * oversubscribed by N per-device pools) and one EncodingCache:
  * operand encodings are pure in the operand contents, so a layer
  * encoded for device 0 is a cache hit on device 1 even when their
- * configs differ. Config-dependent cache families — the scheduler's
- * per-device time estimates — fold the machine parameters into their
- * keys (CacheKey::gpuConfig) and never collide across configs.
+ * configs differ. Config-dependent cache families — the timing-only
+ * plans' stats and the scheduler's per-device time estimates — fold
+ * the machine parameters into their keys (CacheKey::gpuConfig) and
+ * never collide across configs.
  *
  * Determinism contract (the PR 2-4 contract, lifted to the cluster):
  * placement is a pure function of the submission sequence — never of
@@ -193,7 +194,11 @@ class Cluster
      * the number CostModel placement ranks devices by. Cached in the
      * shared EncodingCache under a key folding the request's content
      * digest and the device's machine parameters, so repeated layers
-     * estimate once per device config.
+     * estimate once per device config. The timing-stats family
+     * already memoizes each timing-only plan's stats; this family
+     * stays because it also covers Method::Auto's candidate ranking
+     * (one entry instead of planning and estimating every candidate
+     * backend) and the functional plans' estimates.
      */
     double estimateOn(size_t i, const KernelRequest &request);
 

@@ -4,6 +4,45 @@
 
 namespace dstc {
 
+uint64_t
+syntheticGemmProfileKey(const KernelRequest &req)
+{
+    CacheKey key("gemm-profiles-synthetic");
+    key.i64(req.m).i64(req.n).i64(req.k);
+    key.f64(req.a_sparsity)
+        .f64(req.b_sparsity)
+        .f64(req.a_cluster)
+        .f64(req.b_cluster)
+        .u64(req.seed)
+        .i32(req.gemm_options.tile_m)
+        .i32(req.gemm_options.tile_n);
+    return key.value();
+}
+
+uint64_t
+syntheticSpmmProfileKey(const KernelRequest &req)
+{
+    CacheKey key("spmm-profiles-synthetic");
+    key.i64(req.m).i64(req.k);
+    key.f64(req.a_sparsity).f64(req.a_cluster).u64(req.seed);
+    return key.value();
+}
+
+uint64_t
+timingStatsKey(uint64_t operand_key, const SpGemmOptions &o,
+               const GpuConfig &cfg)
+{
+    CacheKey key("timing-stats");
+    key.u64(operand_key)
+        .i32(o.tile_m)
+        .i32(o.tile_n)
+        .i32(o.tile_k)
+        .i32(o.two_level ? 1 : 0)
+        .i32(static_cast<int32_t>(o.dtype))
+        .i32(o.sparse_output ? 1 : 0);
+    return key.gpuConfig(cfg).value();
+}
+
 GemmProfilesView
 resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
                     OperandDigests &digests, bool *hit)
@@ -42,19 +81,10 @@ resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
     if (req.a_encoded && req.b_encoded)
         return {};
 
-    CacheKey key("gemm-profiles-synthetic");
-    key.i64(req.m).i64(req.n).i64(req.k);
-    key.f64(req.a_sparsity)
-        .f64(req.b_sparsity)
-        .f64(req.a_cluster)
-        .f64(req.b_cluster)
-        .u64(req.seed)
-        .i32(tile_m)
-        .i32(tile_n);
     const KernelRequest r = req; // by-value for the builder
     return GemmProfilesView::owned(
         ctx.cache->getOrBuild<GemmProfilePair>(
-            key.value(),
+            syntheticGemmProfileKey(req),
             [r, tile_m, tile_n] {
                 Rng rng(r.seed);
                 SparsityProfile a = SparsityProfile::randomA(
@@ -174,12 +204,9 @@ resolveSpmmProfiles(const KernelRequest &req, const PlanContext &ctx,
             },
             hit);
     } else {
-        CacheKey key("spmm-profiles-synthetic");
-        key.i64(req.m).i64(req.k);
-        key.f64(req.a_sparsity).f64(req.a_cluster).u64(req.seed);
         const KernelRequest r = req;
         pair = ctx.cache->getOrBuild<SpmmProfilePair>(
-            key.value(),
+            syntheticSpmmProfileKey(req),
             [r] {
                 Rng rng(r.seed);
                 SparsityProfile a8 = SparsityProfile::randomA(

@@ -118,6 +118,32 @@ class OperandDigests
     std::optional<uint64_t> b_;
 };
 
+/**
+ * Key of the synthetic profile pair of a GEMM operating point (the
+ * "gemm-profiles-synthetic" family): geometry, sparsities, clusters,
+ * seed and the warp-tile edges the profiles are drawn at. Computable
+ * without building the pair, so the timing-stats family can key on
+ * it before (and instead of) resolving the profiles.
+ */
+uint64_t syntheticGemmProfileKey(const KernelRequest &req);
+
+/** Key of the synthetic A-side profile pair of an SpMM operating
+ *  point (the "spmm-profiles-synthetic" family). */
+uint64_t syntheticSpmmProfileKey(const KernelRequest &req);
+
+/**
+ * Key of the timing-stats family. A timing-only dual-sparse plan's
+ * KernelStats are a pure function of its operands — @p operand_key,
+ * the key of the profile pair or conv encoding the plan would
+ * resolve — the option fields the timing model reads (tile_m/n/k,
+ * two_level, dtype, sparse_output) and the machine, so the family
+ * folds exactly those. Unlike the operand families it must fold the
+ * GpuConfig: Sessions over different devices share one cache, and
+ * each (operating point, config) is timed once.
+ */
+uint64_t timingStatsKey(uint64_t operand_key, const SpGemmOptions &o,
+                        const GpuConfig &cfg);
+
 /** Resolve (or synthesize) the popcount profiles of a GEMM request.
  *  Returns an empty view when the request carries pre-encoded
  *  operands only (no profile view available without decoding). */

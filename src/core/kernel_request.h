@@ -343,6 +343,18 @@ struct KernelRequest
     }
 
     /**
+     * True when the request references caller-owned profiles or
+     * encodings. Their contents have no digest here — hashing the
+     * pointer would alias recycled addresses — so nothing derived
+     * from such a request is ever memoized by key.
+     */
+    bool
+    borrowsEncodings() const
+    {
+        return a_profile || b_profile || a_encoded || b_encoded;
+    }
+
+    /**
      * The request's operand/output datatype (the DataType axis).
      * Stored on gemm_options so the device layer and the encoding
      * cache keys read one field; withDataType is the request-level

@@ -103,22 +103,31 @@ parallelFor(ThreadPool *pool, int64_t n, int max_workers,
         std::atomic<int64_t> next{0};
         std::atomic<int64_t> done{0};
         int64_t n = 0;
+        int64_t grain = 1;
         const std::function<void(int64_t)> *fn = nullptr;
         std::mutex mu;
         std::condition_variable cv;
     };
     auto state = std::make_shared<State>();
     state->n = n;
+    // Indices are claimed in chunks: about eight per participant, so
+    // a big loop pays one atomic claim per chunk while stragglers
+    // still balance. Loops shorter than that claim one at a time.
+    state->grain = std::max<int64_t>(1, n / (8 * (helpers + 1)));
     state->fn = &fn; // caller outlives every index (it waits below)
 
     auto drain = [](const std::shared_ptr<State> &st) {
         for (;;) {
-            const int64_t i =
-                st->next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= st->n)
+            const int64_t begin =
+                st->next.fetch_add(st->grain, std::memory_order_relaxed);
+            if (begin >= st->n)
                 return;
-            (*st->fn)(i);
-            if (st->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            const int64_t end = std::min(st->n, begin + st->grain);
+            for (int64_t i = begin; i < end; ++i)
+                (*st->fn)(i);
+            const int64_t claimed = end - begin;
+            if (st->done.fetch_add(claimed, std::memory_order_acq_rel) +
+                    claimed ==
                 st->n) {
                 std::lock_guard<std::mutex> lock(st->mu);
                 st->cv.notify_all();

@@ -1,6 +1,7 @@
 #include "gemm/spgemm_device.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bitutil.h"
 #include "core/thread_pool.h"
@@ -212,7 +213,7 @@ SpGemmDevice::multiplyEncoded(const TwoLevelBitmapMatrix &a_enc,
     // Compute time: LPT makespan of output-tile work over sub-cores,
     // derated by the kernel's achievable issue efficiency. The int8 /
     // int4 pipes retire 2x / 4x the MACs per OHMMA slot.
-    int64_t makespan = lptMakespan(work, cfg_.totalSubcores());
+    int64_t makespan = lptMakespan(std::move(work), cfg_.totalSubcores());
     result.stats.compute_us =
         static_cast<double>(makespan) /
         (cfg_.clock_ghz * 1e3 * cfg_.sparse_issue_efficiency *
@@ -347,7 +348,7 @@ SpGemmDevice::timeFromProfiles(const SparsityProfile &a,
         output_nnz_estimate += (1.0 - out.p_cell_zero) * tile_cells;
     }
 
-    int64_t makespan = lptMakespan(work, cfg_.totalSubcores());
+    int64_t makespan = lptMakespan(std::move(work), cfg_.totalSubcores());
     stats.compute_us =
         static_cast<double>(makespan) /
         (cfg_.clock_ghz * 1e3 * cfg_.sparse_issue_efficiency *

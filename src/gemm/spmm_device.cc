@@ -1,6 +1,7 @@
 #include "gemm/spmm_device.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bitutil.h"
 #include "core/thread_pool.h"
@@ -104,7 +105,7 @@ SpmmDevice::narrowTimeFromCounts(
         }
     }
 
-    const int64_t makespan = lptMakespan(work, cfg_.totalSubcores());
+    const int64_t makespan = lptMakespan(std::move(work), cfg_.totalSubcores());
     stats.compute_us =
         static_cast<double>(makespan) /
         (cfg_.clock_ghz * 1e3 * cfg_.sparse_issue_efficiency *

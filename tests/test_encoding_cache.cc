@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/session.h"
+#include "gemm/sparsity_profile.h"
 #include "sparse/csr.h"
 #include "tensor/reference.h"
 
@@ -260,6 +263,158 @@ TEST(EncodingCacheTest, ConvEncodingReusedAcrossRepeatedLayers)
     KernelRequest dense = req;
     dense.method = Method::Dense;
     EXPECT_FALSE(session.run(dense).encode_cache_hit);
+}
+
+// -- timing-stats family ----------------------------------------------
+
+/** Every KernelStats field, doubles compared exactly. */
+void
+expectSameStats(const KernelStats &a, const KernelStats &b,
+                const std::string &context)
+{
+    EXPECT_EQ(a.name, b.name) << context;
+    EXPECT_EQ(a.mix.hmma, b.mix.hmma) << context;
+    EXPECT_EQ(a.mix.ohmma_issued, b.mix.ohmma_issued) << context;
+    EXPECT_EQ(a.mix.ohmma_skipped, b.mix.ohmma_skipped) << context;
+    EXPECT_EQ(a.mix.bohmma, b.mix.bohmma) << context;
+    EXPECT_EQ(a.mix.popc, b.mix.popc) << context;
+    EXPECT_EQ(a.warp_tiles, b.warp_tiles) << context;
+    EXPECT_EQ(a.warp_tiles_skipped, b.warp_tiles_skipped) << context;
+    EXPECT_EQ(a.merge_cycles, b.merge_cycles) << context;
+    EXPECT_EQ(a.compute_us, b.compute_us) << context;
+    EXPECT_EQ(a.memory_us, b.memory_us) << context;
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes) << context;
+    EXPECT_EQ(a.launch_us, b.launch_us) << context;
+    EXPECT_EQ(a.bound, b.bound) << context;
+}
+
+/** One timing-only request per dual-sparse plan kind. */
+std::vector<std::pair<std::string, KernelRequest>>
+timingOnlyRequests()
+{
+    ConvShape shape;
+    shape.in_c = 32;
+    shape.in_h = shape.in_w = 14;
+    shape.out_c = 32;
+    return {
+        {"gemm", KernelRequest::gemm(512, 512, 512, 0.7, 0.8)
+                     .withMethod(Method::DualSparse)},
+        {"conv", KernelRequest::conv(shape, 0.8, 0.6)
+                     .withMethod(Method::DualSparse)},
+        {"spmm", KernelRequest::spmm(1024, 32, 1024, 0.95)
+                     .withMethod(Method::DualSparse)},
+    };
+}
+
+TEST(TimingStatsMemoTest, RepeatIsOneHitAndMatchesFreshSession)
+{
+    for (const auto &[name, req] : timingOnlyRequests()) {
+        Session session;
+        const KernelReport first = session.run(req);
+        EXPECT_FALSE(first.encode_cache_hit) << name;
+        // The repeat is served by the stats entry alone: one hit, no
+        // operand lookup behind it.
+        const EncodingCache::Counters before =
+            session.encodingCache().counters();
+        const KernelReport second = session.run(req);
+        const EncodingCache::Counters after =
+            session.encodingCache().counters();
+        EXPECT_TRUE(second.encode_cache_hit) << name;
+        EXPECT_EQ(after.hits, before.hits + 1) << name;
+        EXPECT_EQ(after.misses, before.misses) << name;
+
+        Session fresh;
+        const KernelStats want = fresh.run(req).stats;
+        expectSameStats(first.stats, want, name + " first");
+        expectSameStats(second.stats, want, name + " repeat");
+        // Auto's estimate reads the same entry it executes from.
+        Session ranked;
+        KernelRequest auto_req = req;
+        auto_req.method = Method::Auto;
+        const KernelReport chosen = ranked.run(auto_req);
+        EXPECT_EQ(chosen.planned_us, chosen.stats.timeUs()) << name;
+    }
+}
+
+TEST(TimingStatsMemoTest, ConfigsSharingOneCacheTimeDifferently)
+{
+    for (const auto &[name, req] : timingOnlyRequests()) {
+        EncodingCache cache;
+        SessionOptions opts;
+        opts.shared_cache = &cache;
+        Session v100(opts);
+        opts.config = GpuConfig::futureGpu();
+        Session future(opts);
+        const KernelStats v100_stats = v100.run(req).stats;
+        const KernelStats future_stats = future.run(req).stats;
+        EXPECT_NE(v100_stats.timeUs(), future_stats.timeUs()) << name;
+        expectSameStats(v100_stats, Session().run(req).stats,
+                        name + " v100");
+        expectSameStats(future_stats,
+                        Session(GpuConfig::futureGpu()).run(req).stats,
+                        name + " future");
+    }
+}
+
+TEST(TimingStatsMemoTest, EveryTimedOptionFieldIsInTheKey)
+{
+    const KernelRequest base =
+        KernelRequest::gemm(512, 512, 512, 0.7, 0.8)
+            .withMethod(Method::DualSparse);
+    std::vector<std::pair<std::string, KernelRequest>> variants;
+    variants.emplace_back("dtype",
+                          KernelRequest(base).withDataType(
+                              DataType::Int8));
+    KernelRequest tile_k = base;
+    tile_k.gemm_options.tile_k = 64;
+    variants.emplace_back("tile_k", tile_k);
+    KernelRequest flat = base;
+    flat.gemm_options.two_level = false;
+    variants.emplace_back("two_level", flat);
+    KernelRequest sparse_d = base;
+    sparse_d.gemm_options.sparse_output = true;
+    variants.emplace_back("sparse_output", sparse_d);
+
+    for (const auto &[field, variant] : variants) {
+        Session session;
+        session.run(base);
+        // The variant shares the base's profile pair (a hit) but
+        // must build its own stats entry (a miss).
+        const EncodingCache::Counters before =
+            session.encodingCache().counters();
+        const KernelStats got = session.run(variant).stats;
+        const EncodingCache::Counters after =
+            session.encodingCache().counters();
+        EXPECT_EQ(after.misses, before.misses + 1) << field;
+        EXPECT_EQ(after.hits, before.hits + 1) << field;
+        expectSameStats(got, Session().run(variant).stats, field);
+    }
+}
+
+TEST(TimingStatsMemoTest, BorrowedProfilesAreNeverMemoized)
+{
+    Rng rng(23);
+    const SparsityProfile a =
+        SparsityProfile::randomA(256, 256, 32, 0.3, 1.0, rng);
+    const SparsityProfile b =
+        SparsityProfile::randomA(256, 256, 32, 0.2, 1.0, rng);
+    const SparsityProfile strips =
+        SparsityProfile::randomA(256, 256, 8, 0.05, 1.0, rng);
+    const std::vector<std::pair<std::string, KernelRequest>> borrowed =
+        {{"gemm", KernelRequest::gemm(a, b).withMethod(
+                      Method::DualSparse)},
+         {"spmm", KernelRequest::spmm(strips, 32).withMethod(
+                      Method::DualSparse)}};
+    for (const auto &[name, req] : borrowed) {
+        Session session;
+        const KernelReport first = session.run(req);
+        const KernelReport second = session.run(req);
+        EXPECT_FALSE(first.encode_cache_hit) << name;
+        EXPECT_FALSE(second.encode_cache_hit) << name;
+        EXPECT_EQ(session.encodingCache().entries(), 0u) << name;
+        EXPECT_EQ(session.encodingCache().counters().hits, 0) << name;
+        expectSameStats(first.stats, second.stats, name);
+    }
 }
 
 } // namespace

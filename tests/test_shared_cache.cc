@@ -9,10 +9,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/cluster.h"
+#include "core/gemm_operands.h"
 #include "core/session.h"
 #include "core/thread_pool.h"
 #include "tensor/reference.h"
@@ -35,6 +37,25 @@ repeatedPoints()
         }
     }
     return requests;
+}
+
+/**
+ * Whether @p key is resident in @p cache as a @p T entry. The probe is
+ * itself a lookup (a miss leaves an unbuilt slot behind), so callers
+ * read the counters before probing.
+ */
+template <typename T>
+bool
+resident(EncodingCache &cache, uint64_t key)
+{
+    bool hit = false;
+    try {
+        cache.getOrBuild<T>(
+            key, []() -> T { throw std::out_of_range("not resident"); },
+            &hit);
+    } catch (const std::out_of_range &) {
+    }
+    return hit;
 }
 
 TEST(SharedCacheTest, ConcurrentSessionsShareEncodingsAndStayExact)
@@ -72,11 +93,31 @@ TEST(SharedCacheTest, ConcurrentSessionsShareEncodingsAndStayExact)
             << "future req " << i;
     }
 
-    // 3 distinct operating points; profile synthesis is config-
-    // independent, so 18 requests -> 3 profile builds, rest hits.
+    // 3 distinct operating points, counted per family. Profile
+    // synthesis is config-independent: 3 profile builds across both
+    // configs. Timing stats are per (point, config): 6 builds, and
+    // the other 12 requests are stats hits. Profiles are looked up
+    // only on a stats miss — 6 lookups, 3 of them hits.
+    const int64_t profile_builds = 3, stats_builds = 6;
     EncodingCache::Counters counters = cache.counters();
-    EXPECT_EQ(counters.misses, 3);
-    EXPECT_EQ(counters.hits, 15);
+    EXPECT_EQ(counters.misses, profile_builds + stats_builds);
+    EXPECT_EQ(counters.hits, 12 + 3);
+    EXPECT_EQ(cache.entries(),
+              static_cast<size_t>(profile_builds + stats_builds));
+    for (uint64_t seed : {1, 2, 3}) {
+        KernelRequest req = repeatedPoints()[seed - 1];
+        const uint64_t profiles = syntheticGemmProfileKey(req);
+        EXPECT_TRUE(resident<GemmProfilePair>(cache, profiles))
+            << "seed " << seed;
+        EXPECT_TRUE(resident<KernelStats>(
+            cache, timingStatsKey(profiles, req.gemm_options,
+                                  GpuConfig::v100())))
+            << "seed " << seed << " on v100";
+        EXPECT_TRUE(resident<KernelStats>(
+            cache, timingStatsKey(profiles, req.gemm_options,
+                                  GpuConfig::futureGpu())))
+            << "seed " << seed << " on future";
+    }
 
     // Per-device hit accounting: both sessions ran 9 requests, and
     // between them 15 of the 18 were cache-served.
@@ -139,9 +180,25 @@ TEST(SharedCacheTest, NoCrossConfigKeyCollisions)
     const double future_us = future.run(timing).stats.timeUs();
     EXPECT_GT(v100_us, future_us);
     // ... while the (config-independent) profile pair was shared:
-    // one miss, one hit across the two sessions.
-    EXPECT_EQ(cache.counters().misses, 1);
+    // one profile miss and one profile hit across the two sessions,
+    // plus one timing-stats miss per config.
+    EXPECT_EQ(cache.counters().misses, 1 + 2);
     EXPECT_EQ(cache.counters().hits, 1);
+    const uint64_t profiles = syntheticGemmProfileKey(timing);
+    EXPECT_TRUE(resident<GemmProfilePair>(cache, profiles));
+    // Each config's stats entry holds that config's time.
+    const auto stats_on = [&](const GpuConfig &cfg) {
+        return cache
+            .getOrBuild<KernelStats>(
+                timingStatsKey(profiles, timing.gemm_options, cfg),
+                [] {
+                    ADD_FAILURE() << "stats entry missing";
+                    return KernelStats{};
+                })
+            ->timeUs();
+    };
+    EXPECT_EQ(stats_on(GpuConfig::v100()), v100_us);
+    EXPECT_EQ(stats_on(GpuConfig::futureGpu()), future_us);
 }
 
 TEST(SharedCacheTest, LruAndByteBoundsHoldUnderConcurrentBatches)

@@ -20,6 +20,41 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
         EXPECT_EQ(h.load(), 1);
 }
 
+/** Run parallelFor over [0, n) and expect every index exactly once. */
+void
+expectEveryIndexOnce(ThreadPool *pool, int64_t n, int max_workers)
+{
+    std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+    parallelFor(pool, n, max_workers, [&](int64_t i) {
+        hits[static_cast<size_t>(i)].fetch_add(1);
+    });
+    int64_t wrong = 0;
+    for (const auto &h : hits)
+        wrong += h.load() != 1;
+    EXPECT_EQ(wrong, 0) << "n " << n << ", max_workers " << max_workers;
+}
+
+TEST(ThreadPool, ChunkedClaimsCoverEveryIndexOnce)
+{
+    // Indices are claimed in chunks of n / (8 x participants): sizes
+    // around and below that grain (1, 2, 17, 18 = a 3x3 conv's
+    // tiles_k, 33) and far above it, serial and pooled, top-level
+    // and nested inside a job of the same pool.
+    ThreadPool pool(4);
+    for (int64_t n : {1, 2, 17, 18, 33, 1000, 100003}) {
+        for (int max_workers : {0, 1, 2, 4}) {
+            expectEveryIndexOnce(&pool, n, max_workers);
+            std::atomic<bool> nested_done{false};
+            pool.enqueue([&] {
+                expectEveryIndexOnce(&pool, n, max_workers);
+                nested_done.store(true);
+            });
+            while (!nested_done.load())
+                std::this_thread::yield();
+        }
+    }
+}
+
 TEST(ThreadPool, ParallelForSerialFallbacks)
 {
     // Null pool and max_workers=1 both run the plain serial loop.
