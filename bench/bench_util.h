@@ -1,18 +1,22 @@
 /**
  * @file
  * Timing scaffolding shared by the micro benches (micro_spgemm,
- * micro_spconv): wall clock, best-of-N measurement, argument parsing
- * for the common --quick/--reps/--out flags, and the warm-up that
- * keeps one-time process state out of the first timed region.
+ * micro_spconv): wall clock, best-of-N measurement (optionally over
+ * a minimum wall time per rep), argument parsing for the common
+ * --quick/--reps/--out flags, the host description the JSON records
+ * carry, and the warm-up that keeps one-time process state out of
+ * the first timed region.
  */
 #ifndef DSTC_BENCH_BENCH_UTIL_H
 #define DSTC_BENCH_BENCH_UTIL_H
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "core/thread_pool.h"
 #include "timing/gpu_config.h"
@@ -29,18 +33,63 @@ nowMs()
         .count();
 }
 
-/** Best-of-@p reps wall time of @p fn, in milliseconds. */
+/**
+ * Best-of-@p reps per-call wall time of @p fn, in milliseconds, where
+ * each rep calls @p fn back to back until it has run for at least
+ * @p min_rep_ms and charges the mean (TVM/AMOS's min_repeat_ms). A
+ * sub-millisecond call is then averaged over many runs, so one
+ * scheduler hiccup or late pool wake-up cannot decide a ratio the
+ * gate reads; a call longer than @p min_rep_ms runs once per rep.
+ */
 template <typename Fn>
 double
-timeMs(int reps, Fn &&fn)
+timeMinMs(int reps, double min_rep_ms, Fn &&fn)
 {
     double best = 1e30;
     for (int r = 0; r < reps; ++r) {
         const double t0 = nowMs();
-        fn();
-        best = std::min(best, nowMs() - t0);
+        double elapsed = 0.0;
+        int calls = 0;
+        do {
+            fn();
+            ++calls;
+            elapsed = nowMs() - t0;
+        } while (elapsed < min_rep_ms);
+        best = std::min(best, elapsed / calls);
     }
     return best;
+}
+
+/**
+ * timeMinMs over several arms at once, rep-interleaved: rep r of
+ * every arm runs before rep r + 1 of any. A host stall (a stolen
+ * vCPU, a busy neighbour) that outlasts one rep then lands in one
+ * rep of each arm instead of in every rep of one arm, so each arm's
+ * best rep is a quiet one and the ratios between arms, which the
+ * gates read, compare like with like. Returns the per-call times in
+ * argument order.
+ */
+template <typename... Fns>
+std::array<double, sizeof...(Fns)>
+timeArmsMinMs(int reps, double min_rep_ms, Fns &&...fns)
+{
+    std::array<double, sizeof...(Fns)> best;
+    best.fill(1e30);
+    for (int r = 0; r < reps; ++r) {
+        size_t arm = 0;
+        ((best[arm] = std::min(best[arm], timeMinMs(1, min_rep_ms, fns)),
+          ++arm),
+         ...);
+    }
+    return best;
+}
+
+/** Best-of-@p reps wall time of one call of @p fn, in milliseconds. */
+template <typename Fn>
+double
+timeMs(int reps, Fn &&fn)
+{
+    return timeMinMs(reps, 0.0, fn);
 }
 
 /** The common micro-bench command line. */
@@ -99,6 +148,41 @@ parseBenchArgs(int argc, char **argv, const char *name,
     else
         args->reps = 3;
     return true;
+}
+
+/** The host the figures were recorded on: CPU features the sim's
+ *  word kernels could use, and how the bench was compiled. */
+inline std::string
+hostDescription()
+{
+    std::string features;
+    __builtin_cpu_init();
+    auto add = [&features](const char *name, bool has) {
+        if (has)
+            features += features.empty() ? name
+                                         : std::string(" ") + name;
+    };
+    add("popcnt", __builtin_cpu_supports("popcnt"));
+    add("bmi2", __builtin_cpu_supports("bmi2"));
+    add("avx2", __builtin_cpu_supports("avx2"));
+    add("avx512f", __builtin_cpu_supports("avx512f"));
+#if defined(__clang__)
+    const std::string compiler = std::string("clang ") + __clang_version__;
+#else
+    const std::string compiler = std::string("gcc ") + __VERSION__;
+#endif
+#ifdef __OPTIMIZE__
+    const char *opt = "optimized";
+#else
+    const char *opt = "unoptimized";
+#endif
+#ifdef __AVX2__
+    const char *target = "avx2 target";
+#else
+    const char *target = "baseline x86-64 target";
+#endif
+    return "cpu " + features + "; " + compiler + ", " + opt + ", " +
+           target;
 }
 
 /**

@@ -2,7 +2,7 @@
  * @file
  * Micro-benchmark of the word-parallel operand-encode layer — the
  * stage the paper argues must be cheap enough to run online on both
- * GEMM sides. Three kinds of point:
+ * GEMM sides. Four kinds of point:
  *
  *  - "twolevel": dense -> two-level encode of a GEMM operand pair
  *    (A column-major + B row-major, exactly what a functional
@@ -13,7 +13,13 @@
  *    word encoder.
  *  - "request": end-to-end dense-GEMM request latency through a
  *    Session — cold (word encode + compute) vs the old pipeline's
- *    cost (scalar encode + the same cached-compute request).
+ *    cost (scalar encode + the same cached-compute request). Each
+ *    rep runs for a minimum wall time (one sub-millisecond request
+ *    is too short to time alone), and the arms' reps interleave.
+ *  - "digest": the content digest every cache lookup of a concrete
+ *    operand pays first — CacheKey::matrix (the word-lane hash) over
+ *    a GEMM operand pair, vs a byte-serial FNV-1a loop (the digest
+ *    it replaced), and the pair digested on two pool workers.
  *  - "lowering": the strided conv im2col gather, word-parallel
  *    deinterleave vs the retained per-bit probe reference, at
  *    stride 2 and 3.
@@ -41,13 +47,20 @@
 #include "tensor/tensor4d.h"
 
 using namespace dstc;
+using bench::timeArmsMinMs;
 using bench::timeMs;
 
 namespace {
 
+/** Minimum wall time of one rep of a sub-millisecond-scale point. */
+constexpr double kMinRepMs = 25.0;
+
+/** Receives the baseline digests, so the compiler keeps their loop. */
+volatile uint64_t g_digest_sink = 0;
+
 struct Point
 {
-    std::string kind; ///< "twolevel" | "request" | "lowering"
+    std::string kind; ///< "twolevel" | "request" | "lowering" | "digest"
     int m = 0, k = 0;
     double sparsity = 0.0;
     int stride = 0; ///< lowering points only
@@ -232,24 +245,29 @@ runRequestPoint(int size, double sparsity, int reps)
 
     // Cold run = word encode + compute (the request latency a fresh
     // operand pays); warm run = the cached-compute part alone.
+    // The warm arm follows the cold one, which left the cache full.
     std::shared_ptr<const Matrix<float>> d_cold;
-    p.word_ms = timeMs(reps, [&] {
-        session.encodingCache().clear();
-        d_cold = session.run(req).d;
-    });
-    p.parallel_ms = timeMs(reps, [&] {
-        pooled.encodingCache().clear();
-        pooled.run(req);
-    });
-    const double warm_ms =
-        timeMs(reps, [&] { session.run(req); });
     SpGemmOptions opts;
-    const double scalar_encode_ms = timeMs(reps, [&] {
-        TwoLevelBitmapMatrix::encode(a, opts.tile_m, opts.tile_k,
-                                     Major::Col);
-        TwoLevelBitmapMatrix::encode(b, opts.tile_k, opts.tile_n,
-                                     Major::Row);
-    });
+    const auto [cold_ms, pooled_ms, warm_ms, scalar_encode_ms] =
+        timeArmsMinMs(
+            reps, kMinRepMs,
+            [&] {
+                session.encodingCache().clear();
+                d_cold = session.run(req).d;
+            },
+            [&] {
+                pooled.encodingCache().clear();
+                pooled.run(req);
+            },
+            [&] { session.run(req); },
+            [&] {
+                TwoLevelBitmapMatrix::encode(a, opts.tile_m,
+                                             opts.tile_k, Major::Col);
+                TwoLevelBitmapMatrix::encode(b, opts.tile_k,
+                                             opts.tile_n, Major::Row);
+            });
+    p.word_ms = cold_ms;
+    p.parallel_ms = pooled_ms;
     // What the same request cost before the word rebuild: the
     // element-wise encode plus the identical dispatch + compute.
     p.scalar_ms = scalar_encode_ms + warm_ms;
@@ -317,6 +335,68 @@ runLoweringPoint(int hw, int stride, double sparsity, int reps)
     return p;
 }
 
+/** Byte-serial FNV-1a: the digest loop CacheKey ran over operand
+ *  contents before the word-lane hash, kept as its baseline. */
+uint64_t
+byteSerialFnv(const Matrix<float> &m)
+{
+    const auto *p =
+        reinterpret_cast<const unsigned char *>(m.data().data());
+    const size_t len = m.data().size() * sizeof(float);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (size_t i = 0; i < len; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+Point
+runDigestPoint(int size, double sparsity, int reps)
+{
+    Point p;
+    p.kind = "digest";
+    p.m = p.k = size;
+    p.sparsity = sparsity;
+
+    Rng rng(0xd16e57 ^ static_cast<uint64_t>(size));
+    const Matrix<float> a =
+        randomSparseMatrix(size, size, sparsity, rng);
+    const Matrix<float> b =
+        randomSparseMatrix(size, size, sparsity, rng);
+    const Matrix<float> *ops[2] = {&a, &b};
+    auto digest = [](const Matrix<float> &m) {
+        return CacheKey("operand-bytes").matrix(m).value();
+    };
+
+    uint64_t serial[2] = {0, 0}, pooled[2] = {0, 0};
+    const auto [fnv_ms, lane_ms, pooled_ms] = timeArmsMinMs(
+        reps, kMinRepMs,
+        [&] { g_digest_sink = byteSerialFnv(a) ^ byteSerialFnv(b); },
+        [&] {
+            serial[0] = digest(a);
+            serial[1] = digest(b);
+        },
+        [&] {
+            parallelFor(&sharedThreadPool(), 2, 2, [&](int64_t i) {
+                pooled[i] = digest(*ops[i]);
+            });
+        });
+    p.scalar_ms = fnv_ms;
+    p.word_ms = lane_ms;
+    p.parallel_ms = pooled_ms;
+    p.gbps = 2.0 * static_cast<double>(size) * size * sizeof(float) /
+             (p.word_ms * 1e6);
+    // The digest is a pure function of the contents: the pooled
+    // pair, and a copy of each operand, digest to the same keys.
+    const Matrix<float> a_copy = a, b_copy = b;
+    p.bitwise_equal = serial[0] == pooled[0] &&
+                      serial[1] == pooled[1] &&
+                      serial[0] == digest(a_copy) &&
+                      serial[1] == digest(b_copy);
+    return p;
+}
+
 void
 writeJson(const char *path, const std::vector<Point> &points,
           const std::vector<PrecisionPoint> &precision, int reps,
@@ -332,15 +412,15 @@ writeJson(const char *path, const std::vector<Point> &points,
                  "  \"config\": {\"threads\": %d, "
                  "\"hardware_concurrency\": %u, \"reps\": %d, "
                  "\"quick\": %s,\n"
-                 "    \"host_note\": \"wall-clock figures and "
-                 "parallel_scaling ~ 1.0 reflect the bench "
-                 "container's hardware_concurrency (1 = a single "
-                 "hardware thread, where the pool cannot scale); "
-                 "simulated *_us fields are machine-independent\"},"
-                 "\n",
+                 "    \"host_note\": \"recorded on %u hardware "
+                 "threads (%s); wall-clock figures and "
+                 "parallel_scaling are host time and reflect that "
+                 "host\"},\n",
                  sharedThreadPool().numThreads(),
                  std::thread::hardware_concurrency(), reps,
-                 quick ? "true" : "false");
+                 quick ? "true" : "false",
+                 std::thread::hardware_concurrency(),
+                 bench::hostDescription().c_str());
     std::fprintf(f, "  \"points\": [\n");
     for (size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];
@@ -413,6 +493,7 @@ main(int argc, char **argv)
         emit(runTwoLevelPoint(512, 0.9, reps));
         emit(runRequestPoint(256, 0.9, reps));
         emit(runLoweringPoint(28, 2, 0.9, reps));
+        emit(runDigestPoint(1024, 0.9, reps));
     } else {
         // Sparsity axis of the operand-pair encode (the paper's
         // online-encode premise lives or dies here).
@@ -425,6 +506,10 @@ main(int argc, char **argv)
         for (int stride : {2, 3})
             for (double sp : {0.5, 0.9})
                 emit(runLoweringPoint(28, stride, sp, reps));
+        // Content digest of an operand pair, at the sparse-kernels
+        // GEMM size and at 4096^2 (64 MB per operand).
+        for (int size : {1024, 4096})
+            emit(runDigestPoint(size, 0.9, reps));
     }
 
     // Precision axis: each datatype's value-lane encode, pinned

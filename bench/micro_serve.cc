@@ -165,41 +165,6 @@ runPoint(const DeviceSet &set, ServePolicy policy,
     return p;
 }
 
-/** The host the figures were recorded on: CPU features the sim's
- *  word kernels could use, and how the bench was compiled. */
-std::string
-hostDescription()
-{
-    std::string features;
-    __builtin_cpu_init();
-    auto add = [&features](const char *name, bool has) {
-        if (has)
-            features += features.empty() ? name
-                                         : std::string(" ") + name;
-    };
-    add("popcnt", __builtin_cpu_supports("popcnt"));
-    add("bmi2", __builtin_cpu_supports("bmi2"));
-    add("avx2", __builtin_cpu_supports("avx2"));
-    add("avx512f", __builtin_cpu_supports("avx512f"));
-#if defined(__clang__)
-    const std::string compiler = std::string("clang ") + __clang_version__;
-#else
-    const std::string compiler = std::string("gcc ") + __VERSION__;
-#endif
-#ifdef __OPTIMIZE__
-    const char *opt = "optimized";
-#else
-    const char *opt = "unoptimized";
-#endif
-#ifdef __AVX2__
-    const char *target = "avx2 target";
-#else
-    const char *target = "baseline x86-64 target";
-#endif
-    return "cpu " + features + "; " + compiler + ", " + opt + ", " +
-           target;
-}
-
 void
 writeJson(const char *path, const std::vector<Point> &points,
           int reps, bool quick)
@@ -221,7 +186,7 @@ writeJson(const char *path, const std::vector<Point> &points,
         sharedThreadPool().numThreads(),
         std::thread::hardware_concurrency(), reps,
         quick ? "true" : "false", std::thread::hardware_concurrency(),
-        hostDescription().c_str());
+        bench::hostDescription().c_str());
     std::fprintf(f, "  \"points\": [\n");
     for (size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];

@@ -9,7 +9,10 @@
  * two-level operand), and the pooled parallel pipeline — across
  * sparsity operating points, layer shapes and lowering modes
  * (stride-1 word extraction vs strided bit gather, single- vs
- * dual-sparse implicit).
+ * dual-sparse implicit). Each rep of each path runs for a minimum
+ * wall time, so the small shapes' sub-millisecond runs are averaged
+ * rather than timed one call at a time, and the three paths' reps
+ * are interleaved.
  *
  * Results are written as JSON (default BENCH_spconv.json; see the
  * bench_json CMake target) so every PR leaves a perf trajectory and
@@ -32,9 +35,12 @@
 #include "tensor/tensor4d.h"
 
 using namespace dstc;
-using bench::timeMs;
+using bench::timeArmsMinMs;
 
 namespace {
+
+/** Minimum wall time of one rep (a longer call runs once per rep). */
+constexpr double kMinRepMs = 25.0;
 
 struct Point
 {
@@ -100,16 +106,22 @@ runPoint(const char *name, const ConvShape &shape, ConvMethod method,
     ConvOptions pooled; // num_workers = 0: shared pool
 
     ConvResult r_scalar, r_word, r_par;
-    p.scalar_ms = timeMs(reps, [&] {
-        r_scalar =
-            executor.runScalar(input, weights, shape, method, serial);
-    });
-    p.word_ms = timeMs(reps, [&] {
-        r_word = executor.run(input, weights, shape, method, serial);
-    });
-    p.parallel_ms = timeMs(reps, [&] {
-        r_par = executor.run(input, weights, shape, method, pooled);
-    });
+    const auto [scalar_ms, word_ms, parallel_ms] = timeArmsMinMs(
+        reps, kMinRepMs,
+        [&] {
+            r_scalar = executor.runScalar(input, weights, shape, method,
+                                          serial);
+        },
+        [&] {
+            r_word =
+                executor.run(input, weights, shape, method, serial);
+        },
+        [&] {
+            r_par = executor.run(input, weights, shape, method, pooled);
+        });
+    p.scalar_ms = scalar_ms;
+    p.word_ms = word_ms;
+    p.parallel_ms = parallel_ms;
 
     p.bitwise_equal =
         identical(r_word, r_scalar) && identical(r_par, r_scalar);

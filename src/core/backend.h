@@ -34,6 +34,17 @@ struct PlanContext
     const GpuConfig *cfg = nullptr;
     EncodingCache *cache = nullptr;
 
+    /** gpuConfigDigest(*cfg), computed once by the planning Session
+     *  and folded into config-dependent cache keys; 0 = not
+     *  supplied, and configDigest() hashes *cfg itself. */
+    uint64_t cfg_digest = 0;
+
+    uint64_t
+    configDigest() const
+    {
+        return cfg_digest != 0 ? cfg_digest : gpuConfigDigest(*cfg);
+    }
+
     /** Worker partitioning of the word-parallel operand encoders
      *  (the resolved ExecutionResources::encode_workers; the usual
      *  num_workers contract: 0 = shared pool, 1 = serial). Encodings

@@ -81,8 +81,8 @@ class DualGemmPlan : public ExecutionPlan
     DualGemmPlan(const char *name, const KernelRequest &req,
                  const PlanContext &ctx)
         : ExecutionPlan(name, Method::DualSparse, req.tag), req_(req),
-          cfg_(*ctx.cfg), cache_(ctx.cache),
-          encode_workers_(ctx.encode_workers)
+          cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
+          cache_(ctx.cache), encode_workers_(ctx.encode_workers)
     {
     }
 
@@ -155,7 +155,7 @@ class DualGemmPlan : public ExecutionPlan
         bool hit = false;
         const KernelStats stats = *cache_->getOrBuild<KernelStats>(
             timingStatsKey(syntheticGemmProfileKey(req_),
-                           req_.gemm_options, cfg_),
+                           req_.gemm_options, cfg_digest_),
             time, &hit);
         cache_hit_ = cache_hit_ || hit;
         return stats;
@@ -236,6 +236,7 @@ class DualGemmPlan : public ExecutionPlan
 
     KernelRequest req_;
     GpuConfig cfg_;
+    uint64_t cfg_digest_;
     EncodingCache *cache_;
     int encode_workers_ = 1;
     OperandDigests digests_;
@@ -259,8 +260,8 @@ class DualSpmmPlan : public ExecutionPlan
     DualSpmmPlan(const char *name, const KernelRequest &req,
                  const PlanContext &ctx)
         : ExecutionPlan(name, Method::DualSparse, req.tag), req_(req),
-          cfg_(*ctx.cfg), cache_(ctx.cache),
-          encode_workers_(ctx.encode_workers)
+          cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
+          cache_(ctx.cache), encode_workers_(ctx.encode_workers)
     {
     }
 
@@ -336,7 +337,8 @@ class DualSpmmPlan : public ExecutionPlan
             .i32(static_cast<int32_t>(req_.spmm_format));
         bool hit = false;
         const KernelStats stats = *cache_->getOrBuild<KernelStats>(
-            timingStatsKey(operands.value(), req_.gemm_options, cfg_),
+            timingStatsKey(operands.value(), req_.gemm_options,
+                           cfg_digest_),
             time, &hit);
         cache_hit_ = cache_hit_ || hit;
         return stats;
@@ -388,6 +390,7 @@ class DualSpmmPlan : public ExecutionPlan
 
     KernelRequest req_;
     GpuConfig cfg_;
+    uint64_t cfg_digest_;
     EncodingCache *cache_;
     int encode_workers_ = 1;
     OperandDigests digests_;
@@ -404,7 +407,8 @@ class ConvPlan : public ExecutionPlan
     ConvPlan(const char *name, Method method, const KernelRequest &req,
              const PlanContext &ctx)
         : ExecutionPlan(name, method, req.tag), req_(req),
-          cfg_(*ctx.cfg), cache_(ctx.cache),
+          cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
+          cache_(ctx.cache),
           conv_method_(toConvMethod(method, req.lowering))
     {
     }
@@ -476,14 +480,15 @@ class ConvPlan : public ExecutionPlan
         };
         bool hit = false;
         const KernelStats stats = *cache_->getOrBuild<KernelStats>(
-            timingStatsKey(operand_key, SpGemmOptions{}, cfg_), time,
-            &hit);
+            timingStatsKey(operand_key, SpGemmOptions{}, cfg_digest_),
+            time, &hit);
         cache_hit_ = cache_hit_ || hit;
         return stats;
     }
 
     KernelRequest req_;
     GpuConfig cfg_;
+    uint64_t cfg_digest_;
     EncodingCache *cache_;
     ConvMethod conv_method_;
 };

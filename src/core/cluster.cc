@@ -203,12 +203,8 @@ requestContentDigest(const KernelRequest &request)
         key.matrix(*request.a);
     if (request.b)
         key.matrix(*request.b);
-    if (request.input) {
-        const Tensor4d &t = *request.input;
-        key.i32(t.n()).i32(t.c()).i32(t.h()).i32(t.w());
-        key.bytes(t.data().data(),
-                  t.data().size() * sizeof(float));
-    }
+    if (request.input)
+        key.tensor(*request.input);
     return key.value();
 }
 
@@ -265,8 +261,8 @@ Cluster::estimateOn(size_t i, const KernelRequest &request,
     if (!digest)
         return sessions_[i]->plan(request)->estimatedTimeUs();
     CacheKey key("cluster-estimate");
-    key.u64(*digest).gpuConfig(options_.devices[i]);
     Session *session = sessions_[i].get();
+    key.u64(*digest).u64(session->configDigest());
     return *cache_.getOrBuild<double>(key.value(), [session,
                                                     &request] {
         return session->plan(request)->estimatedTimeUs();

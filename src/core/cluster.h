@@ -26,7 +26,7 @@
  * encoded for device 0 is a cache hit on device 1 even when their
  * configs differ. Config-dependent cache families — the timing-only
  * plans' stats and the scheduler's per-device time estimates — fold
- * the machine parameters into their keys (CacheKey::gpuConfig) and
+ * the machine parameters into their keys (gpuConfigDigest) and
  * never collide across configs.
  *
  * Determinism contract (the PR 2-4 contract, lifted to the cluster):

@@ -9,15 +9,20 @@
  * repeated layers and repeated requests over the same operands skip
  * re-encoding entirely, across serial and batched execution alike.
  *
- * Keys are 64-bit FNV-1a digests built by the call sites from the
- * operand contents / generation parameters plus a kind tag (see
- * CacheKey). Values are immutable and shared: concurrent lookups of
- * the same key build once and everyone holds the same object.
+ * Keys are 64-bit digests built by the call sites from the operand
+ * contents / generation parameters plus a kind tag (see CacheKey):
+ * scalar fields fold byte by byte with FNV-1a, bulk operand contents
+ * with a word-lane hash that runs at memory speed. Key values only
+ * name cache entries; they are not stable across versions. Values
+ * are immutable and shared: concurrent lookups of the same key build
+ * once and everyone holds the same object.
  */
 #ifndef DSTC_CORE_ENCODING_CACHE_H
 #define DSTC_CORE_ENCODING_CACHE_H
 
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -26,11 +31,32 @@
 
 #include "common/logging.h"
 #include "tensor/matrix.h"
+#include "tensor/tensor4d.h"
 #include "timing/gpu_config.h"
 
 namespace dstc {
 
-/** Incremental FNV-1a digest used for cache keys. */
+/**
+ * Incremental 64-bit digest used for cache keys. Two folds share one
+ * running value:
+ *
+ *  - scalar fields (str, i32, i64, f64, u64, gpuConfig) fold byte by
+ *    byte with FNV-1a — a few bytes each, so per-byte cost does not
+ *    matter, and a key built only from scalars (requestShardKey,
+ *    which places StaticShard requests) keeps its value;
+ *  - bulk contents (bytes, matrix, tensor) fold through a word-lane
+ *    hash: four independent 64-bit multiply-rotate lanes over
+ *    32-byte stripes (the xxh64 construction), then the lanes, the
+ *    tail bytes and the length merged and run through a full
+ *    avalanche finalizer, seeded with the digest so far. It is a pure
+ *    function of the running digest and the bytes — no thread-count
+ *    or alignment dependence — and reads a large operand at memory
+ *    speed instead of one multiply per byte.
+ *
+ * Key values only name cache entries and are not stable across
+ * versions. The one value a test pins is requestShardKey's, built
+ * from scalar fields alone, because it places StaticShard requests.
+ */
 class CacheKey
 {
   public:
@@ -38,39 +64,37 @@ class CacheKey
      *         the digest so families never collide. */
     explicit CacheKey(const char *kind) { str(kind); }
 
+    /** Fold in a block of bulk contents (the word-lane hash). */
     CacheKey &
     bytes(const void *data, size_t len)
     {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (size_t i = 0; i < len; ++i) {
-            hash_ ^= p[i];
-            hash_ *= 0x100000001b3ull;
-        }
+        hash_ = laneHash(static_cast<const unsigned char *>(data), len,
+                         hash_);
         return *this;
     }
 
-    CacheKey &
-    str(const char *s)
-    {
-        while (*s) {
-            hash_ ^= static_cast<unsigned char>(*s++);
-            hash_ *= 0x100000001b3ull;
-        }
-        return bytes("\0", 1); // terminator: no concat ambiguity
-    }
+    /** Fold in a string and its terminator (no concat ambiguity). */
+    CacheKey &str(const char *s) { return fnv(s, std::strlen(s) + 1); }
 
-    CacheKey &u64(uint64_t v) { return bytes(&v, sizeof(v)); }
-    CacheKey &i64(int64_t v) { return bytes(&v, sizeof(v)); }
-    CacheKey &i32(int32_t v) { return bytes(&v, sizeof(v)); }
-    CacheKey &f64(double v) { return bytes(&v, sizeof(v)); }
+    CacheKey &u64(uint64_t v) { return fnv(&v, sizeof(v)); }
+    CacheKey &i64(int64_t v) { return fnv(&v, sizeof(v)); }
+    CacheKey &i32(int32_t v) { return fnv(&v, sizeof(v)); }
+    CacheKey &f64(double v) { return fnv(&v, sizeof(v)); }
 
     /** Fold in a matrix's dimensions and full contents. */
     CacheKey &
     matrix(const Matrix<float> &m)
     {
-        i32(m.rows());
-        i32(m.cols());
+        i32(m.rows()).i32(m.cols());
         return bytes(m.data().data(), m.data().size() * sizeof(float));
+    }
+
+    /** Fold in a tensor's dimensions and full contents. */
+    CacheKey &
+    tensor(const Tensor4d &t)
+    {
+        i32(t.n()).i32(t.c()).i32(t.h()).i32(t.w());
+        return bytes(t.data().data(), t.data().size() * sizeof(float));
     }
 
     /**
@@ -80,7 +104,8 @@ class CacheKey
      * plan-stage time estimates). Operand *encodings* are pure in
      * the operand contents and must NOT fold this in: leaving the
      * config out of their keys is what lets Sessions over different
-     * devices share one cache and encode each operand once.
+     * devices share one cache and encode each operand once. Hot
+     * keys fold the once-computed gpuConfigDigest() instead.
      */
     CacheKey &
     gpuConfig(const GpuConfig &cfg)
@@ -102,8 +127,109 @@ class CacheKey
     uint64_t value() const { return hash_; }
 
   private:
+    CacheKey &
+    fnv(const void *data, size_t len)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (size_t i = 0; i < len; ++i) {
+            hash_ ^= p[i];
+            hash_ *= 0x100000001b3ull;
+        }
+        return *this;
+    }
+
+    static constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+    static constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+    static constexpr uint64_t kP3 = 0x165667b19e3779f9ull;
+    static constexpr uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+    static constexpr uint64_t kP5 = 0x27d4eb2f165667c5ull;
+
+    static uint64_t
+    rotl(uint64_t x, int r)
+    {
+        return (x << r) | (x >> (64 - r));
+    }
+
+    static uint64_t
+    load64(const unsigned char *p)
+    {
+        uint64_t v;
+        std::memcpy(&v, p, sizeof(v));
+        return v;
+    }
+
+    static uint64_t
+    load32(const unsigned char *p)
+    {
+        uint32_t v;
+        std::memcpy(&v, p, sizeof(v));
+        return v;
+    }
+
+    static uint64_t
+    mixWord(uint64_t acc, uint64_t word)
+    {
+        return rotl(acc + word * kP2, 31) * kP1;
+    }
+
+    static uint64_t
+    mergeLane(uint64_t h, uint64_t lane)
+    {
+        return (h ^ mixWord(0, lane)) * kP1 + kP4;
+    }
+
+    /** The word-lane bulk hash of @p len bytes at @p p, seeded. */
+    static uint64_t
+    laneHash(const unsigned char *p, size_t len, uint64_t seed)
+    {
+        const unsigned char *const end = p + len;
+        uint64_t h;
+        if (len >= 32) {
+            // Four independent lanes: one stripe is four multiply
+            // chains the core overlaps, not one serial chain.
+            uint64_t v1 = seed + kP1 + kP2, v2 = seed + kP2;
+            uint64_t v3 = seed, v4 = seed - kP1;
+            for (; end - p >= 32; p += 32) {
+                v1 = mixWord(v1, load64(p));
+                v2 = mixWord(v2, load64(p + 8));
+                v3 = mixWord(v3, load64(p + 16));
+                v4 = mixWord(v4, load64(p + 24));
+            }
+            h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) +
+                rotl(v4, 18);
+            for (uint64_t lane : {v1, v2, v3, v4})
+                h = mergeLane(h, lane);
+        } else {
+            h = seed + kP5;
+        }
+        h += static_cast<uint64_t>(len);
+        for (; end - p >= 8; p += 8)
+            h = rotl(h ^ mixWord(0, load64(p)), 27) * kP1 + kP4;
+        if (end - p >= 4) {
+            h = rotl(h ^ (load32(p) * kP1), 23) * kP2 + kP3;
+            p += 4;
+        }
+        for (; p < end; ++p)
+            h = rotl(h ^ (*p * kP5), 11) * kP1;
+        // Avalanche: every input bit reaches every output bit.
+        h ^= h >> 33;
+        h *= kP2;
+        h ^= h >> 29;
+        h *= kP3;
+        return h ^ (h >> 32);
+    }
+
     uint64_t hash_ = 0xcbf29ce484222325ull;
 };
+
+/** The GpuConfig fold (CacheKey::gpuConfig) as one 64-bit value. A
+ *  Session computes it once and config-dependent keys fold it, so a
+ *  per-request key never re-walks the config's fields. */
+inline uint64_t
+gpuConfigDigest(const GpuConfig &cfg)
+{
+    return CacheKey("gpu-config").gpuConfig(cfg).value();
+}
 
 /**
  * Approximate resident bytes of a cached value, used by the cache's

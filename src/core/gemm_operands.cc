@@ -30,7 +30,7 @@ syntheticSpmmProfileKey(const KernelRequest &req)
 
 uint64_t
 timingStatsKey(uint64_t operand_key, const SpGemmOptions &o,
-               const GpuConfig &cfg)
+               uint64_t cfg_digest)
 {
     CacheKey key("timing-stats");
     key.u64(operand_key)
@@ -40,7 +40,7 @@ timingStatsKey(uint64_t operand_key, const SpGemmOptions &o,
         .i32(o.two_level ? 1 : 0)
         .i32(static_cast<int32_t>(o.dtype))
         .i32(o.sparse_output ? 1 : 0);
-    return key.gpuConfig(cfg).value();
+    return key.u64(cfg_digest).value();
 }
 
 GemmProfilesView

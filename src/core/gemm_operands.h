@@ -138,11 +138,12 @@ uint64_t syntheticSpmmProfileKey(const KernelRequest &req);
  * resolve — the option fields the timing model reads (tile_m/n/k,
  * two_level, dtype, sparse_output) and the machine, so the family
  * folds exactly those. Unlike the operand families it must fold the
- * GpuConfig: Sessions over different devices share one cache, and
+ * GpuConfig — as @p cfg_digest, its gpuConfigDigest computed once
+ * per Session: Sessions over different devices share one cache, and
  * each (operating point, config) is timed once.
  */
 uint64_t timingStatsKey(uint64_t operand_key, const SpGemmOptions &o,
-                        const GpuConfig &cfg);
+                        uint64_t cfg_digest);
 
 /** Resolve (or synthesize) the popcount profiles of a GEMM request.
  *  Returns an empty view when the request carries pre-encoded

@@ -373,8 +373,8 @@ class HybridPlan : public ExecutionPlan
     HybridPlan(const char *name, const KernelRequest &req,
                const PlanContext &ctx)
         : ExecutionPlan(name, Method::Hybrid, req.tag), req_(req),
-          cfg_(*ctx.cfg), cache_(ctx.cache),
-          encode_workers_(ctx.encode_workers),
+          cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
+          cache_(ctx.cache), encode_workers_(ctx.encode_workers),
           registry_(ctx.registry)
     {
     }
@@ -471,6 +471,7 @@ class HybridPlan : public ExecutionPlan
     {
         PlanContext ctx;
         ctx.cfg = &cfg_;
+        ctx.cfg_digest = cfg_digest_;
         ctx.cache = cache_;
         ctx.encode_workers = encode_workers_;
         ctx.registry = registry_;
@@ -589,6 +590,7 @@ class HybridPlan : public ExecutionPlan
 
     KernelRequest req_;
     GpuConfig cfg_;
+    uint64_t cfg_digest_;
     EncodingCache *cache_;
     int encode_workers_ = 1;
     const KernelRegistry *registry_ = nullptr;

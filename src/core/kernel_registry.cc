@@ -82,6 +82,7 @@ KernelRegistry::plan(const KernelRequest &request,
     // the registry that planned them.
     PlanContext routed = ctx;
     routed.registry = this;
+    routed.cfg_digest = ctx.configDigest();
     // Operands come in pairs; a half-specified pair would silently
     // fall through to the synthetic-profile path (or null-deref).
     if (request.kind == KernelRequest::Kind::Gemm) {

@@ -16,7 +16,8 @@ Session::Session(GpuConfig config)
 Session::Session(SessionOptions options)
     : options_(options),
       registry_(KernelRegistry::withDefaultBackends()),
-      cache_(options.cache_capacity, options.cache_capacity_bytes)
+      cache_(options.cache_capacity, options.cache_capacity_bytes),
+      config_digest_(gpuConfigDigest(options.config))
 {
 }
 
@@ -27,6 +28,7 @@ Session::plan(const KernelRequest &request)
 {
     PlanContext ctx;
     ctx.cfg = &options_.config;
+    ctx.cfg_digest = config_digest_;
     ctx.cache = &encodingCache();
     // Three-level worker rule (see ExecutionResources): the
     // request's axes win, -1 inherits the session's budget.

@@ -85,7 +85,7 @@ struct SessionOptions
      * (cache_capacity/_bytes are ignored) — Sessions over different
      * GpuConfigs can share one cache because operand encodings are
      * pure in the operand contents; config-dependent families fold
-     * the machine bits into their keys (CacheKey::gpuConfig). Must
+     * the machine bits into their keys (gpuConfigDigest). Must
      * outlive the Session.
      */
     EncodingCache *shared_cache = nullptr;
@@ -163,12 +163,16 @@ class Session
 
     const GpuConfig &config() const { return options_.config; }
 
+    /** gpuConfigDigest(config()), computed once at construction. */
+    uint64_t configDigest() const { return config_digest_; }
+
   private:
     ThreadPool &pool();
 
     SessionOptions options_;
     KernelRegistry registry_;
     EncodingCache cache_;
+    uint64_t config_digest_;
     std::once_flag pool_once_;
     std::unique_ptr<ThreadPool> pool_; // created on first submit
     std::atomic<int64_t> requests_{0};

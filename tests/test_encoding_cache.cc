@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/cluster.h"
 #include "core/session.h"
 #include "gemm/sparsity_profile.h"
 #include "sparse/csr.h"
@@ -34,6 +36,114 @@ TEST(CacheKeyTest, DistinctInputsDistinctKeys)
               CacheKey("m").matrix(m2).value());
     EXPECT_EQ(CacheKey("m").matrix(m1).value(),
               CacheKey("m").matrix(m1).value());
+}
+
+TEST(CacheKeyTest, BulkHashSeesEveryBitFlip)
+{
+    // Lengths 0-100 cover every tail length (0-31 bytes past the
+    // last 32-byte stripe) and the stripe boundaries at 32, 64, 96.
+    std::vector<unsigned char> buf(100);
+    for (size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<unsigned char>(i * 37 + 11);
+    int missed = 0;
+    for (size_t len = 0; len <= buf.size(); ++len) {
+        const uint64_t base =
+            CacheKey("bulk").bytes(buf.data(), len).value();
+        for (size_t pos = 0; pos < len; ++pos)
+            for (int bit = 0; bit < 8; ++bit) {
+                buf[pos] ^= static_cast<unsigned char>(1u << bit);
+                const uint64_t flipped =
+                    CacheKey("bulk").bytes(buf.data(), len).value();
+                buf[pos] ^= static_cast<unsigned char>(1u << bit);
+                if (flipped == base) {
+                    ADD_FAILURE() << "len " << len << " byte " << pos
+                                  << " bit " << bit;
+                    ++missed;
+                }
+            }
+    }
+    EXPECT_EQ(missed, 0);
+}
+
+TEST(CacheKeyTest, BulkHashFoldsLengthNotAlignment)
+{
+    // Zero runs of different lengths differ: the length is folded.
+    const std::vector<unsigned char> zeros(100, 0);
+    std::vector<uint64_t> keys;
+    for (size_t len = 0; len <= zeros.size(); ++len)
+        keys.push_back(CacheKey("bulk").bytes(zeros.data(), len).value());
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+
+    // The same bytes at every alignment give one key.
+    std::vector<unsigned char> buf(100 + 8);
+    for (size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<unsigned char>(i * 13 + 5);
+    const std::vector<unsigned char> ref(buf.begin(), buf.begin() + 100);
+    const uint64_t want = CacheKey("bulk").bytes(ref.data(), 100).value();
+    for (size_t off = 1; off < 8; ++off) {
+        std::copy(ref.begin(), ref.end(), buf.begin() + off);
+        EXPECT_EQ(CacheKey("bulk").bytes(buf.data() + off, 100).value(),
+                  want)
+            << "offset " << off;
+    }
+}
+
+TEST(CacheKeyTest, MatrixKeyFoldsShapeAndExactBits)
+{
+    // The same eight floats at three shapes: three keys.
+    Matrix<float> wide(1, 8), tall(8, 1), block(2, 4);
+    for (int i = 0; i < 8; ++i) {
+        wide.at(0, i) = static_cast<float>(i + 1);
+        tall.at(i, 0) = static_cast<float>(i + 1);
+        block.at(i / 4, i % 4) = static_cast<float>(i + 1);
+    }
+    const uint64_t k_wide = CacheKey("m").matrix(wide).value();
+    const uint64_t k_tall = CacheKey("m").matrix(tall).value();
+    const uint64_t k_block = CacheKey("m").matrix(block).value();
+    EXPECT_NE(k_wide, k_tall);
+    EXPECT_NE(k_wide, k_block);
+    EXPECT_NE(k_tall, k_block);
+
+    // Keys see bits, not values: +0.0f and -0.0f differ.
+    Matrix<float> pos(2, 2), neg(2, 2);
+    neg.at(1, 1) = -0.0f;
+    EXPECT_NE(CacheKey("m").matrix(pos).value(),
+              CacheKey("m").matrix(neg).value());
+
+    // Two distinct objects with equal contents share one key.
+    Rng rng(5);
+    Matrix<float> a = randomSparseMatrix(37, 29, 0.5, rng);
+    const Matrix<float> copy = a;
+    ASSERT_NE(copy.data().data(), a.data().data());
+    EXPECT_EQ(CacheKey("m").matrix(a).value(),
+              CacheKey("m").matrix(copy).value());
+
+    // Tensors fold their four dimensions the same way.
+    const Tensor4d t1(1, 2, 3, 4), t2(1, 3, 2, 4);
+    EXPECT_NE(CacheKey("t").tensor(t1).value(),
+              CacheKey("t").tensor(t2).value());
+}
+
+TEST(CacheKeyTest, ShardKeysKeepTheirValues)
+{
+    // requestShardKey folds scalar fields only, so its values — and
+    // with them StaticShard placement — are pinned: these are the
+    // values the byte-wise FNV-1a fold has always produced.
+    const KernelRequest gemm =
+        KernelRequest::gemm(1024, 512, 256, 0.7, 0.8)
+            .withMethod(Method::DualSparse);
+    ConvShape s;
+    s.batch = 1;
+    s.in_c = 64;
+    s.in_h = s.in_w = 56;
+    s.out_c = 64;
+    s.kernel = 3;
+    s.stride = 1;
+    s.pad = 1;
+    const KernelRequest conv = KernelRequest::conv(s, 0.9, 0.5);
+    EXPECT_EQ(requestShardKey(gemm), 0x426e934818632c4aull);
+    EXPECT_EQ(requestShardKey(conv), 0x21c94910a8e0339dull);
 }
 
 TEST(EncodingCacheTest, BuildsOnceThenHits)

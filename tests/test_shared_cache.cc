@@ -111,11 +111,11 @@ TEST(SharedCacheTest, ConcurrentSessionsShareEncodingsAndStayExact)
             << "seed " << seed;
         EXPECT_TRUE(resident<KernelStats>(
             cache, timingStatsKey(profiles, req.gemm_options,
-                                  GpuConfig::v100())))
+                                  gpuConfigDigest(GpuConfig::v100()))))
             << "seed " << seed << " on v100";
         EXPECT_TRUE(resident<KernelStats>(
             cache, timingStatsKey(profiles, req.gemm_options,
-                                  GpuConfig::futureGpu())))
+                                  gpuConfigDigest(GpuConfig::futureGpu()))))
             << "seed " << seed << " on future";
     }
 
@@ -190,7 +190,8 @@ TEST(SharedCacheTest, NoCrossConfigKeyCollisions)
     const auto stats_on = [&](const GpuConfig &cfg) {
         return cache
             .getOrBuild<KernelStats>(
-                timingStatsKey(profiles, timing.gemm_options, cfg),
+                timingStatsKey(profiles, timing.gemm_options,
+                               gpuConfigDigest(cfg)),
                 [] {
                     ADD_FAILURE() << "stats entry missing";
                     return KernelStats{};
