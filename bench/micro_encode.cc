@@ -23,6 +23,14 @@
  *  - "lowering": the strided conv im2col gather, word-parallel
  *    deinterleave vs the retained per-bit probe reference, at
  *    stride 2 and 3.
+ *  - "ingest": everything an SpMM plan reads off its concrete A
+ *    operand — the digest, the strip and warp-tile profiles, the
+ *    density probe and the narrow encode — built as separate passes
+ *    over the floats (each consumer on its own, as before the
+ *    OperandSummary) vs derived from one OperandSummary; the pooled
+ *    arm runs the narrow encode on the pool. The warm-cache columns
+ *    time what a cache hit pays: the digest alone vs the whole
+ *    summary pass.
  *
  * Results are written as JSON (default BENCH_encode.json; see the
  * bench_json CMake target) so every PR leaves a perf trajectory and
@@ -40,6 +48,9 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/bitutil.h"
+#include "core/gemm_operands.h"
+#include "core/operand_summary.h"
 #include "core/session.h"
 #include "im2col/bitmap_im2col.h"
 #include "model/sparsity_gen.h"
@@ -60,7 +71,8 @@ volatile uint64_t g_digest_sink = 0;
 
 struct Point
 {
-    std::string kind; ///< "twolevel" | "request" | "lowering" | "digest"
+    /// "twolevel" | "request" | "lowering" | "digest" | "ingest"
+    std::string kind;
     int m = 0, k = 0;
     double sparsity = 0.0;
     int stride = 0; ///< lowering points only
@@ -69,6 +81,9 @@ struct Point
     double parallel_ms = 0.0;
     double gbps = 0.0; ///< dense bytes through the word path
     bool bitwise_equal = false;
+    /// ingest points: a cache hit's digest alone vs the whole summary
+    double hit_digest_ms = 0.0;
+    double hit_summary_ms = 0.0;
 };
 
 /** Bit-for-bit comparison of two one-level bitmaps. */
@@ -397,6 +412,125 @@ runDigestPoint(int size, double sparsity, int reps)
     return p;
 }
 
+/** The density probe plans ran over a concrete operand before the
+ *  summary: its own branchless mask + POPC pass over the floats. */
+int64_t
+separateNnzPass(const Matrix<float> &m)
+{
+    const float *data = m.data().data();
+    const size_t n = m.size();
+    int64_t count = 0;
+    size_t i = 0;
+    for (; i + 64 <= n; i += 64)
+        count += popcount64(packNonzeroBits64(data + i));
+    if (i < n)
+        count += popcount64(
+            packNonzeroBits(data + i, static_cast<int>(n - i)));
+    return count;
+}
+
+/** What an SpMM plan derives from its concrete A operand. */
+struct Ingest
+{
+    uint64_t digest = 0;
+    int64_t nnz = 0;
+    SparsityProfile a8{1, 1, 8}, a32{1, 1, 32};
+    NarrowTileMatrix narrow;
+};
+
+bool
+sameIngest(const Ingest &x, const Ingest &y)
+{
+    auto same_profile = [](const SparsityProfile &p,
+                           const SparsityProfile &q) {
+        if (p.groups() != q.groups() || p.k() != q.k())
+            return false;
+        for (int g = 0; g < p.groups(); ++g)
+            for (int64_t kk = 0; kk < p.k(); ++kk)
+                if (p.count(g, kk) != q.count(g, kk))
+                    return false;
+        return true;
+    };
+    const NarrowTileMatrix &a = x.narrow, &b = y.narrow;
+    if (x.digest != y.digest || x.nnz != y.nnz ||
+        !same_profile(x.a8, y.a8) || !same_profile(x.a32, y.a32) ||
+        a.numVectors() != b.numVectors() || a.nnz() != b.nnz())
+        return false;
+    for (int s = 0; s < a.numStrips(); ++s)
+        for (int w = 0; w < a.wordsPerStrip(); ++w)
+            if (a.stripWord(s, w) != b.stripWord(s, w))
+                return false;
+    for (int64_t v = 0; v < a.numVectors(); ++v) {
+        if (a.vectorMask(v) != b.vectorMask(v))
+            return false;
+        const auto va = a.vectorValues(v), vb = b.vectorValues(v);
+        for (size_t i = 0; i < va.size(); ++i)
+            if (va[i] != vb[i])
+                return false;
+    }
+    return true;
+}
+
+Point
+runIngestPoint(int size, double sparsity, int reps)
+{
+    Point p;
+    p.kind = "ingest";
+    p.m = p.k = size;
+    p.sparsity = sparsity;
+
+    Rng rng(0x19e57 ^ static_cast<uint64_t>(size));
+    const Matrix<float> a =
+        uniformSparseMatrix(size, size, sparsity, rng);
+    const QuantSpec spec = QuantSpec::forValues(
+        DataType::Fp16, a.data().data(), a.data().size());
+
+    Ingest separate, fused, pooled;
+    const auto [separate_ms, summary_ms, pooled_ms, digest_ms,
+                pass_ms] =
+        timeArmsMinMs(
+            reps, kMinRepMs,
+            [&] {
+                separate.digest =
+                    CacheKey("operand-bytes").matrix(a).value();
+                separate.a8 = SparsityProfile::fromMatrixAWord(a, 8);
+                separate.a32 = aggregateSpmmProfile(separate.a8);
+                separate.nnz = separateNnzPass(a);
+                separate.narrow = wordEncodeNarrowTile(a, 1, spec);
+            },
+            [&] {
+                const OperandSummary s(a);
+                fused.digest = s.digest();
+                fused.a8 = s.profileA(8);
+                fused.a32 = aggregateSpmmProfile(fused.a8);
+                fused.nnz = s.nnz();
+                fused.narrow = wordEncodeNarrowTile(a, s, 1, spec);
+            },
+            [&] {
+                const OperandSummary s(a);
+                pooled.digest = s.digest();
+                pooled.a8 = s.profileA(8);
+                pooled.a32 = aggregateSpmmProfile(pooled.a8);
+                pooled.nnz = s.nnz();
+                pooled.narrow = wordEncodeNarrowTile(a, s, 0, spec);
+            },
+            [&] {
+                g_digest_sink =
+                    CacheKey("operand-bytes").matrix(a).value();
+            },
+            [&] { g_digest_sink = OperandSummary(a).digest(); });
+    p.scalar_ms = separate_ms;
+    p.word_ms = summary_ms;
+    p.parallel_ms = pooled_ms;
+    p.hit_digest_ms = digest_ms;
+    p.hit_summary_ms = pass_ms;
+    p.gbps = static_cast<double>(size) * size * sizeof(float) /
+             (p.word_ms * 1e6);
+    p.bitwise_equal =
+        sameIngest(separate, fused) && sameIngest(separate, pooled);
+    return p;
+}
+
 void
 writeJson(const char *path, const std::vector<Point> &points,
           const std::vector<PrecisionPoint> &precision, int reps,
@@ -427,16 +561,21 @@ writeJson(const char *path, const std::vector<Point> &points,
         std::fprintf(
             f,
             "    {\"kind\": \"%s\", \"m\": %d, \"k\": %d, "
-            "\"sparsity\": %.2f, \"stride\": %d,\n"
+            "\"sparsity\": %g, \"stride\": %d,\n"
             "     \"scalar_ms\": %.3f, \"word_ms\": %.3f, "
             "\"parallel_ms\": %.3f, \"gbps\": %.2f,\n"
             "     \"speedup_word_vs_scalar\": %.2f, "
-            "\"parallel_scaling\": %.2f, \"bitwise_equal\": %s}%s\n",
+            "\"parallel_scaling\": %.2f, \"bitwise_equal\": %s",
             p.kind.c_str(), p.m, p.k, p.sparsity, p.stride,
             p.scalar_ms, p.word_ms, p.parallel_ms, p.gbps,
             p.scalar_ms / p.word_ms, p.word_ms / p.parallel_ms,
-            p.bitwise_equal ? "true" : "false",
-            i + 1 < points.size() ? "," : "");
+            p.bitwise_equal ? "true" : "false");
+        if (p.kind == "ingest")
+            std::fprintf(f,
+                         ",\n     \"hit_digest_ms\": %.3f, "
+                         "\"hit_summary_ms\": %.3f",
+                         p.hit_digest_ms, p.hit_summary_ms);
+        std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"precision_points\": [\n");
     for (size_t i = 0; i < precision.size(); ++i) {
@@ -485,6 +624,10 @@ main(int argc, char **argv)
                          "the scalar reference\n");
             std::exit(1);
         }
+        if (p.kind == "ingest")
+            std::printf("%9s %5s warm-cache hit: digest %.3f ms, "
+                        "summary pass %.3f ms\n",
+                        "", "", p.hit_digest_ms, p.hit_summary_ms);
         points.push_back(std::move(p));
     };
 
@@ -494,6 +637,7 @@ main(int argc, char **argv)
         emit(runRequestPoint(256, 0.9, reps));
         emit(runLoweringPoint(28, 2, 0.9, reps));
         emit(runDigestPoint(1024, 0.9, reps));
+        emit(runIngestPoint(1024, 0.99, reps));
     } else {
         // Sparsity axis of the operand-pair encode (the paper's
         // online-encode premise lives or dies here).
@@ -510,6 +654,13 @@ main(int argc, char **argv)
         // GEMM size and at 4096^2 (64 MB per operand).
         for (int size : {1024, 4096})
             emit(runDigestPoint(size, 0.9, reps));
+        // One ingest pass vs separate passes: a half-dense operand,
+        // where the narrow encode's value gather dominates both arms,
+        // a 99%-sparse one (the quick point) and a 99.9%-sparse one
+        // at the corpus size.
+        for (double sp : {0.5, 0.99})
+            emit(runIngestPoint(1024, sp, reps));
+        emit(runIngestPoint(4096, 0.999, reps));
     }
 
     // Precision axis: each datatype's value-lane encode, pinned

@@ -27,6 +27,7 @@
 namespace dstc {
 
 class KernelRegistry;
+class OperandDigests;
 
 /** Everything a backend needs besides the request itself. */
 struct PlanContext
@@ -50,6 +51,16 @@ struct PlanContext
      *  num_workers contract: 0 = shared pool, 1 = serial). Encodings
      *  are bitwise identical for every setting. */
     int encode_workers = 1;
+
+    /**
+     * The operand summaries of the request being planned (see
+     * OperandDigests in gemm_operands.h), shared by every plan of
+     * it: KernelRegistry::plan creates one per request when the
+     * caller supplies none, so Auto's candidates and Hybrid's class
+     * sub-plans read each concrete operand once. Null when a backend
+     * is planned directly; the plan then makes its own.
+     */
+    std::shared_ptr<OperandDigests> operands;
 
     /**
      * The registry that issued this plan (set by

@@ -82,7 +82,8 @@ class DualGemmPlan : public ExecutionPlan
                  const PlanContext &ctx)
         : ExecutionPlan(name, Method::DualSparse, req.tag), req_(req),
           cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
-          cache_(ctx.cache), encode_workers_(ctx.encode_workers)
+          cache_(ctx.cache), encode_workers_(ctx.encode_workers),
+          operands_(requestOperands(ctx))
     {
     }
 
@@ -206,7 +207,7 @@ class DualGemmPlan : public ExecutionPlan
             ctx.cache = cache_;
             bool hit = false;
             profiles_ =
-                resolveGemmProfiles(req_, ctx, digests_, &hit);
+                resolveGemmProfiles(req_, ctx, *operands_, &hit);
             cache_hit_ = cache_hit_ || hit;
         }
         return profiles_;
@@ -229,8 +230,8 @@ class DualGemmPlan : public ExecutionPlan
         ctx.cfg = &cfg_;
         ctx.cache = cache_;
         ctx.encode_workers = encode_workers_;
-        a_enc_ = resolveTwoLevelA(req_, ctx, digests_, &hit_a);
-        b_enc_ = resolveTwoLevelB(req_, ctx, digests_, &hit_b);
+        a_enc_ = resolveTwoLevelA(req_, ctx, *operands_, &hit_a);
+        b_enc_ = resolveTwoLevelB(req_, ctx, *operands_, &hit_b);
         cache_hit_ = cache_hit_ || hit_a || hit_b;
     }
 
@@ -239,7 +240,7 @@ class DualGemmPlan : public ExecutionPlan
     uint64_t cfg_digest_;
     EncodingCache *cache_;
     int encode_workers_ = 1;
-    OperandDigests digests_;
+    std::shared_ptr<OperandDigests> operands_;
     bool profiles_resolved_ = false;
     GemmProfilesView profiles_;
     std::shared_ptr<const TwoLevelBitmapMatrix> a_enc_;
@@ -261,7 +262,8 @@ class DualSpmmPlan : public ExecutionPlan
                  const PlanContext &ctx)
         : ExecutionPlan(name, Method::DualSparse, req.tag), req_(req),
           cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
-          cache_(ctx.cache), encode_workers_(ctx.encode_workers)
+          cache_(ctx.cache), encode_workers_(ctx.encode_workers),
+          operands_(requestOperands(ctx))
     {
     }
 
@@ -286,11 +288,11 @@ class DualSpmmPlan : public ExecutionPlan
             SpmmResult r =
                 format == SpmmFormat::Narrow
                     ? device.multiplyNarrow(
-                          *resolveNarrowTileA(req_, ctx, digests_,
+                          *resolveNarrowTileA(req_, ctx, *operands_,
                                               &hit),
                           *req_.b, spec_b, req_.gemm_options)
                     : device.multiplyWide(
-                          *resolveTwoLevelA(req_, ctx, digests_,
+                          *resolveTwoLevelA(req_, ctx, *operands_,
                                             &hit),
                           *req_.b, spec_b, req_.gemm_options);
             cache_hit_ = cache_hit_ || hit;
@@ -382,7 +384,7 @@ class DualSpmmPlan : public ExecutionPlan
             ctx.cache = cache_;
             bool hit = false;
             profiles_ =
-                resolveSpmmProfiles(req_, ctx, digests_, &hit);
+                resolveSpmmProfiles(req_, ctx, *operands_, &hit);
             cache_hit_ = cache_hit_ || hit;
         }
         return profiles_;
@@ -393,7 +395,7 @@ class DualSpmmPlan : public ExecutionPlan
     uint64_t cfg_digest_;
     EncodingCache *cache_;
     int encode_workers_ = 1;
-    OperandDigests digests_;
+    std::shared_ptr<OperandDigests> operands_;
     SpmmFormat format_ = SpmmFormat::Auto; ///< Auto = not chosen yet
     bool profiles_resolved_ = false;
     SpmmProfilesView profiles_;
@@ -547,7 +549,8 @@ class AnalyticGemmPlan : public ExecutionPlan
 {
   public:
     using TimeFn = KernelStats (*)(const GpuConfig &cfg,
-                                   const KernelRequest &req);
+                                   const KernelRequest &req,
+                                   OperandDigests &operands);
     using MultiplyFn = Matrix<float> (*)(const GpuConfig &cfg,
                                          const KernelRequest &req,
                                          const QuantSpec &spec_a,
@@ -557,7 +560,8 @@ class AnalyticGemmPlan : public ExecutionPlan
                      const KernelRequest &req, const PlanContext &ctx,
                      TimeFn time, MultiplyFn multiply)
         : ExecutionPlan(name, method, req.tag), req_(req),
-          cfg_(*ctx.cfg), time_(time), multiply_(multiply)
+          cfg_(*ctx.cfg), operands_(requestOperands(ctx)), time_(time),
+          multiply_(multiply)
     {
     }
 
@@ -566,7 +570,7 @@ class AnalyticGemmPlan : public ExecutionPlan
     run() override
     {
         KernelReport report;
-        report.stats = time_(cfg_, req_);
+        report.stats = time_(cfg_, req_, *operands_);
         if (req_.a && req_.b && req_.gemm_options.functional) {
             const DataType dtype = req_.dataType();
             report.d = std::make_shared<const Matrix<float>>(
@@ -580,12 +584,13 @@ class AnalyticGemmPlan : public ExecutionPlan
     estimate() override
     {
         // Analytic, so Auto never runs a losing candidate's multiply.
-        return time_(cfg_, req_).timeUs();
+        return time_(cfg_, req_, *operands_).timeUs();
     }
 
   private:
     KernelRequest req_;
     GpuConfig cfg_;
+    std::shared_ptr<OperandDigests> operands_;
     TimeFn time_;
     MultiplyFn multiply_;
 };
@@ -600,7 +605,8 @@ class AnalyticGemmPlan : public ExecutionPlan
  * functional run reports the device kernel's own name.
  */
 KernelStats
-denseTime(const GpuConfig &cfg, const KernelRequest &req)
+denseTime(const GpuConfig &cfg, const KernelRequest &req,
+          OperandDigests &)
 {
     KernelStats stats = DenseGemmDevice(cfg).timeOnly(
         req.m, req.n, req.k, req.dataType());
@@ -663,10 +669,11 @@ class DenseBackend : public Backend
 // ===================================================================
 
 KernelStats
-zhuTime(const GpuConfig &cfg, const KernelRequest &req)
+zhuTime(const GpuConfig &cfg, const KernelRequest &req,
+        OperandDigests &operands)
 {
-    return zhuGemm(cfg, req.m, req.n, req.k, weightSparsity(req),
-                   req.dataType());
+    return zhuGemm(cfg, req.m, req.n, req.k,
+                   weightSparsity(req, operands), req.dataType());
 }
 
 Matrix<float>
@@ -727,10 +734,11 @@ class ZhuSparseBackend : public Backend
 // ===================================================================
 
 KernelStats
-ampereTime(const GpuConfig &cfg, const KernelRequest &req)
+ampereTime(const GpuConfig &cfg, const KernelRequest &req,
+           OperandDigests &operands)
 {
-    return ampereGemm(cfg, req.m, req.n, req.k, weightSparsity(req),
-                      req.dataType());
+    return ampereGemm(cfg, req.m, req.n, req.k,
+                      weightSparsity(req, operands), req.dataType());
 }
 
 Matrix<float>
@@ -782,7 +790,8 @@ class CusparseGemmPlan : public ExecutionPlan
     CusparseGemmPlan(const char *name, const KernelRequest &req,
                      const PlanContext &ctx)
         : ExecutionPlan(name, Method::CusparseLike, req.tag),
-          req_(req), cfg_(*ctx.cfg), cache_(ctx.cache)
+          req_(req), cfg_(*ctx.cfg), cache_(ctx.cache),
+          operands_(requestOperands(ctx))
     {
     }
 
@@ -809,7 +818,7 @@ class CusparseGemmPlan : public ExecutionPlan
                         .decode());
         } else {
             double da, db;
-            operandDensities(req_, &da, &db);
+            operandDensities(req_, *operands_, &da, &db);
             report.stats = cusparseGemmTimeExpected(
                 cfg_, req_.m, req_.n, req_.k, da, db);
         }
@@ -821,12 +830,12 @@ class CusparseGemmPlan : public ExecutionPlan
     {
         // Functional plans estimate from the expected-value model at
         // the operands' measured densities (operandDensities reads
-        // the matrices directly); timing plans share the memoized
-        // run.
+        // the request's operand summaries); timing plans share the
+        // memoized run.
         if (!(req_.a && req_.b))
             return ExecutionPlan::estimate();
         double da, db;
-        operandDensities(req_, &da, &db);
+        operandDensities(req_, *operands_, &da, &db);
         return cusparseGemmTimeExpected(cfg_, req_.m, req_.n, req_.k,
                                         da, db)
             .timeUs();
@@ -840,13 +849,13 @@ class CusparseGemmPlan : public ExecutionPlan
             return;
         bool hit_a = false, hit_b = false;
         CacheKey ka("csr-a");
-        ka.u64(digests_.a(*req_.a));
+        ka.u64(operands_->digest(*req_.a));
         const Matrix<float> *a = req_.a;
         a_csr_ = cache_->getOrBuild<CsrMatrix>(
             ka.value(), [a] { return CsrMatrix::encode(*a); },
             &hit_a);
         CacheKey kb("csr-b");
-        kb.u64(digests_.b(*req_.b));
+        kb.u64(operands_->digest(*req_.b));
         const Matrix<float> *b = req_.b;
         b_csr_ = cache_->getOrBuild<CsrMatrix>(
             kb.value(), [b] { return CsrMatrix::encode(*b); },
@@ -857,7 +866,7 @@ class CusparseGemmPlan : public ExecutionPlan
     KernelRequest req_;
     GpuConfig cfg_;
     EncodingCache *cache_;
-    OperandDigests digests_;
+    std::shared_ptr<OperandDigests> operands_;
     std::shared_ptr<const CsrMatrix> a_csr_;
     std::shared_ptr<const CsrMatrix> b_csr_;
 };
@@ -875,7 +884,8 @@ class CusparseSpmmPlan : public ExecutionPlan
     CusparseSpmmPlan(const char *name, const KernelRequest &req,
                      const PlanContext &ctx)
         : ExecutionPlan(name, Method::CusparseLike, req.tag),
-          req_(req), cfg_(*ctx.cfg), cache_(ctx.cache)
+          req_(req), cfg_(*ctx.cfg), cache_(ctx.cache),
+          operands_(requestOperands(ctx))
     {
     }
 
@@ -906,8 +916,9 @@ class CusparseSpmmPlan : public ExecutionPlan
     double
     estimate() override
     {
-        // The density probe reads the exact non-zero count (word
-        // popcounts for concrete A, profile totals otherwise), and
+        // The density probe reads the exact non-zero count (the
+        // operand summary's for concrete A, profile totals
+        // otherwise), and
         // the model depends on A only through that count — so this
         // estimate equals the executed stats without paying the CSR
         // encode.
@@ -919,7 +930,7 @@ class CusparseSpmmPlan : public ExecutionPlan
     timeFromDensity()
     {
         double da, db;
-        operandDensities(req_, &da, &db);
+        operandDensities(req_, *operands_, &da, &db);
         const double nnz_a =
             da * static_cast<double>(req_.m) * req_.k;
         return cusparseSpmmTime(
@@ -935,7 +946,7 @@ class CusparseSpmmPlan : public ExecutionPlan
             return;
         bool hit = false;
         CacheKey key("csr-a");
-        key.u64(digests_.a(*req_.a));
+        key.u64(operands_->digest(*req_.a));
         const Matrix<float> *a = req_.a;
         a_csr_ = cache_->getOrBuild<CsrMatrix>(
             key.value(), [a] { return CsrMatrix::encode(*a); }, &hit);
@@ -945,7 +956,7 @@ class CusparseSpmmPlan : public ExecutionPlan
     KernelRequest req_;
     GpuConfig cfg_;
     EncodingCache *cache_;
-    OperandDigests digests_;
+    std::shared_ptr<OperandDigests> operands_;
     std::shared_ptr<const CsrMatrix> a_csr_;
 };
 

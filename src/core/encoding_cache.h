@@ -37,6 +37,126 @@
 namespace dstc {
 
 /**
+ * The word-lane bulk hash behind CacheKey::bytes, as a stream: four
+ * independent 64-bit multiply-rotate lanes over 32-byte stripes (the
+ * xxh64 construction), then the lanes, the tail bytes and the length
+ * merged and run through a full avalanche finalizer. The caller
+ * feeds the len / 32 complete stripes in order, in as many stripes()
+ * calls as it likes, then finish()es with the len % 32 tail bytes —
+ * so a pass that reads an operand for another purpose
+ * (OperandSummary) folds the digest into the same read.
+ */
+class LaneHash
+{
+  public:
+    static constexpr size_t kStripeBytes = 32;
+
+    /** @param seed the digest so far; @param len total bytes. */
+    LaneHash(uint64_t seed, size_t len)
+        : v1_(seed + kP1 + kP2), v2_(seed + kP2), v3_(seed),
+          v4_(seed - kP1), seed_(seed), len_(len)
+    {
+    }
+
+    /** Fold @p n complete stripes starting at @p p. */
+    void
+    stripes(const unsigned char *p, size_t n)
+    {
+        // Four independent lanes: one stripe is four multiply chains
+        // the core overlaps, not one serial chain.
+        uint64_t v1 = v1_, v2 = v2_, v3 = v3_, v4 = v4_;
+        for (const unsigned char *const end = p + n * kStripeBytes;
+             p != end; p += kStripeBytes) {
+            v1 = mixWord(v1, load64(p));
+            v2 = mixWord(v2, load64(p + 8));
+            v3 = mixWord(v3, load64(p + 16));
+            v4 = mixWord(v4, load64(p + 24));
+        }
+        v1_ = v1;
+        v2_ = v2;
+        v3_ = v3;
+        v4_ = v4;
+    }
+
+    /** The digest, given the len % 32 tail bytes at @p p (every
+     *  complete stripe already fed). */
+    uint64_t
+    finish(const unsigned char *p) const
+    {
+        const unsigned char *const end = p + len_ % kStripeBytes;
+        uint64_t h;
+        if (len_ >= kStripeBytes) {
+            h = rotl(v1_, 1) + rotl(v2_, 7) + rotl(v3_, 12) +
+                rotl(v4_, 18);
+            for (uint64_t lane : {v1_, v2_, v3_, v4_})
+                h = mergeLane(h, lane);
+        } else {
+            h = seed_ + kP5;
+        }
+        h += static_cast<uint64_t>(len_);
+        for (; end - p >= 8; p += 8)
+            h = rotl(h ^ mixWord(0, load64(p)), 27) * kP1 + kP4;
+        if (end - p >= 4) {
+            h = rotl(h ^ (load32(p) * kP1), 23) * kP2 + kP3;
+            p += 4;
+        }
+        for (; p < end; ++p)
+            h = rotl(h ^ (*p * kP5), 11) * kP1;
+        // Avalanche: every input bit reaches every output bit.
+        h ^= h >> 33;
+        h *= kP2;
+        h ^= h >> 29;
+        h *= kP3;
+        return h ^ (h >> 32);
+    }
+
+  private:
+    static constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+    static constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+    static constexpr uint64_t kP3 = 0x165667b19e3779f9ull;
+    static constexpr uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+    static constexpr uint64_t kP5 = 0x27d4eb2f165667c5ull;
+
+    static uint64_t
+    rotl(uint64_t x, int r)
+    {
+        return (x << r) | (x >> (64 - r));
+    }
+
+    static uint64_t
+    load64(const unsigned char *p)
+    {
+        uint64_t v;
+        std::memcpy(&v, p, sizeof(v));
+        return v;
+    }
+
+    static uint64_t
+    load32(const unsigned char *p)
+    {
+        uint32_t v;
+        std::memcpy(&v, p, sizeof(v));
+        return v;
+    }
+
+    static uint64_t
+    mixWord(uint64_t acc, uint64_t word)
+    {
+        return rotl(acc + word * kP2, 31) * kP1;
+    }
+
+    static uint64_t
+    mergeLane(uint64_t h, uint64_t lane)
+    {
+        return (h ^ mixWord(0, lane)) * kP1 + kP4;
+    }
+
+    uint64_t v1_, v2_, v3_, v4_;
+    uint64_t seed_;
+    size_t len_;
+};
+
+/**
  * Incremental 64-bit digest used for cache keys. Two folds share one
  * running value:
  *
@@ -44,14 +164,11 @@ namespace dstc {
  *    byte with FNV-1a — a few bytes each, so per-byte cost does not
  *    matter, and a key built only from scalars (requestShardKey,
  *    which places StaticShard requests) keeps its value;
- *  - bulk contents (bytes, matrix, tensor) fold through a word-lane
- *    hash: four independent 64-bit multiply-rotate lanes over
- *    32-byte stripes (the xxh64 construction), then the lanes, the
- *    tail bytes and the length merged and run through a full
- *    avalanche finalizer, seeded with the digest so far. It is a pure
- *    function of the running digest and the bytes — no thread-count
- *    or alignment dependence — and reads a large operand at memory
- *    speed instead of one multiply per byte.
+ *  - bulk contents (bytes, matrix, tensor) fold through LaneHash,
+ *    seeded with the digest so far. It is a pure function of the
+ *    running digest and the bytes — no thread-count or alignment
+ *    dependence — and reads a large operand at memory speed instead
+ *    of one multiply per byte.
  *
  * Key values only name cache entries and are not stable across
  * versions. The one value a test pins is requestShardKey's, built
@@ -68,8 +185,10 @@ class CacheKey
     CacheKey &
     bytes(const void *data, size_t len)
     {
-        hash_ = laneHash(static_cast<const unsigned char *>(data), len,
-                         hash_);
+        const auto *p = static_cast<const unsigned char *>(data);
+        LaneHash lanes(hash_, len);
+        lanes.stripes(p, len / LaneHash::kStripeBytes);
+        hash_ = lanes.finish(p + (len & ~(LaneHash::kStripeBytes - 1)));
         return *this;
     }
 
@@ -136,87 +255,6 @@ class CacheKey
             hash_ *= 0x100000001b3ull;
         }
         return *this;
-    }
-
-    static constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
-    static constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
-    static constexpr uint64_t kP3 = 0x165667b19e3779f9ull;
-    static constexpr uint64_t kP4 = 0x85ebca77c2b2ae63ull;
-    static constexpr uint64_t kP5 = 0x27d4eb2f165667c5ull;
-
-    static uint64_t
-    rotl(uint64_t x, int r)
-    {
-        return (x << r) | (x >> (64 - r));
-    }
-
-    static uint64_t
-    load64(const unsigned char *p)
-    {
-        uint64_t v;
-        std::memcpy(&v, p, sizeof(v));
-        return v;
-    }
-
-    static uint64_t
-    load32(const unsigned char *p)
-    {
-        uint32_t v;
-        std::memcpy(&v, p, sizeof(v));
-        return v;
-    }
-
-    static uint64_t
-    mixWord(uint64_t acc, uint64_t word)
-    {
-        return rotl(acc + word * kP2, 31) * kP1;
-    }
-
-    static uint64_t
-    mergeLane(uint64_t h, uint64_t lane)
-    {
-        return (h ^ mixWord(0, lane)) * kP1 + kP4;
-    }
-
-    /** The word-lane bulk hash of @p len bytes at @p p, seeded. */
-    static uint64_t
-    laneHash(const unsigned char *p, size_t len, uint64_t seed)
-    {
-        const unsigned char *const end = p + len;
-        uint64_t h;
-        if (len >= 32) {
-            // Four independent lanes: one stripe is four multiply
-            // chains the core overlaps, not one serial chain.
-            uint64_t v1 = seed + kP1 + kP2, v2 = seed + kP2;
-            uint64_t v3 = seed, v4 = seed - kP1;
-            for (; end - p >= 32; p += 32) {
-                v1 = mixWord(v1, load64(p));
-                v2 = mixWord(v2, load64(p + 8));
-                v3 = mixWord(v3, load64(p + 16));
-                v4 = mixWord(v4, load64(p + 24));
-            }
-            h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) +
-                rotl(v4, 18);
-            for (uint64_t lane : {v1, v2, v3, v4})
-                h = mergeLane(h, lane);
-        } else {
-            h = seed + kP5;
-        }
-        h += static_cast<uint64_t>(len);
-        for (; end - p >= 8; p += 8)
-            h = rotl(h ^ mixWord(0, load64(p)), 27) * kP1 + kP4;
-        if (end - p >= 4) {
-            h = rotl(h ^ (load32(p) * kP1), 23) * kP2 + kP3;
-            p += 4;
-        }
-        for (; p < end; ++p)
-            h = rotl(h ^ (*p * kP5), 11) * kP1;
-        // Avalanche: every input bit reaches every output bit.
-        h ^= h >> 33;
-        h *= kP2;
-        h ^= h >> 29;
-        h *= kP3;
-        return h ^ (h >> 32);
     }
 
     uint64_t hash_ = 0xcbf29ce484222325ull;

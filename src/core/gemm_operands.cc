@@ -4,6 +4,40 @@
 
 namespace dstc {
 
+std::shared_ptr<const OperandSummary>
+OperandDigests::summary(const Matrix<float> &m)
+{
+    Slot *slot = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const auto &s : slots_)
+            if (s->src == &m)
+                slot = s.get();
+        if (!slot) {
+            slots_.push_back(std::make_unique<Slot>());
+            slot = slots_.back().get();
+            slot->src = &m;
+            slot->data = m.data().data();
+        }
+    }
+    // An operand changed under its plans would be keyed by a stale
+    // digest; the storage identity catches a reassignment.
+    DSTC_ASSERT(slot->data == m.data().data(),
+                "OperandDigests: operand storage changed under its "
+                "plans");
+    std::call_once(slot->once, [&] {
+        slot->value = std::make_shared<const OperandSummary>(m);
+    });
+    return slot->value;
+}
+
+std::shared_ptr<OperandDigests>
+requestOperands(const PlanContext &ctx)
+{
+    return ctx.operands ? ctx.operands
+                        : std::make_shared<OperandDigests>();
+}
+
 uint64_t
 syntheticGemmProfileKey(const KernelRequest &req)
 {
@@ -59,22 +93,22 @@ resolveGemmProfiles(const KernelRequest &req, const PlanContext &ctx,
     const int tile_m = req.gemm_options.tile_m;
     const int tile_n = req.gemm_options.tile_n;
     if (req.a && req.b) {
+        const auto sa = digests.summary(*req.a);
+        const auto sb = digests.summary(*req.b);
         CacheKey key("gemm-profiles-from-matrices");
-        key.u64(digests.a(*req.a))
-            .u64(digests.b(*req.b))
+        key.u64(sa->digest())
+            .u64(sb->digest())
             .i32(tile_m)
             .i32(tile_n);
-        const Matrix<float> *a = req.a, *b = req.b;
         return GemmProfilesView::owned(
             ctx.cache->getOrBuild<GemmProfilePair>(
                 key.value(),
-                [a, b, tile_m, tile_n] {
-                    // Word-parallel extraction (bitwise identical to
-                    // the element-wise fromMatrixA/B references).
-                    return GemmProfilePair{
-                        SparsityProfile::fromMatrixAWord(*a, tile_m),
-                        SparsityProfile::fromMatrixBWord(*b,
-                                                         tile_n)};
+                [&sa, &sb, tile_m, tile_n] {
+                    // Read off the summaries' masks (bitwise
+                    // identical to the element-wise fromMatrixA/B
+                    // references).
+                    return GemmProfilePair{sa->profileA(tile_m),
+                                           sb->profileB(tile_n)};
                 },
                 hit));
     }
@@ -107,7 +141,7 @@ resolveTwoLevelA(const KernelRequest &req, const PlanContext &ctx,
     // so the key folds the dtype: two requests sharing a content
     // digest but differing in datatype must never collide.
     CacheKey key("two-level-a");
-    key.u64(digests.a(*req.a))
+    key.u64(digests.digest(*req.a))
         .i32(o.tile_m)
         .i32(o.tile_k)
         .i32(static_cast<int32_t>(o.dtype));
@@ -132,7 +166,7 @@ resolveTwoLevelB(const KernelRequest &req, const PlanContext &ctx,
 {
     const SpGemmOptions &o = req.gemm_options;
     CacheKey key("two-level-b");
-    key.u64(digests.b(*req.b))
+    key.u64(digests.digest(*req.b))
         .i32(o.tile_k)
         .i32(o.tile_n)
         .i32(static_cast<int32_t>(o.dtype));
@@ -190,14 +224,13 @@ resolveSpmmProfiles(const KernelRequest &req, const PlanContext &ctx,
     }
     std::shared_ptr<const SpmmProfilePair> pair;
     if (req.a) {
+        const auto sa = digests.summary(*req.a);
         CacheKey key("spmm-profiles-from-matrix");
-        key.u64(digests.a(*req.a));
-        const Matrix<float> *a = req.a;
+        key.u64(sa->digest());
         pair = ctx.cache->getOrBuild<SpmmProfilePair>(
             key.value(),
-            [a] {
-                SparsityProfile a8 =
-                    SparsityProfile::fromMatrixAWord(*a, 8);
+            [&sa] {
+                SparsityProfile a8 = sa->profileA(8);
                 SparsityProfile a32 = aggregateSpmmProfile(a8);
                 return SpmmProfilePair{std::move(a8),
                                        std::move(a32)};
@@ -229,16 +262,17 @@ resolveNarrowTileA(const KernelRequest &req, const PlanContext &ctx,
                    OperandDigests &digests, bool *hit)
 {
     const SpGemmOptions &o = req.gemm_options;
+    const auto sa = digests.summary(*req.a);
     CacheKey key("narrow-tile-a");
-    key.u64(digests.a(*req.a)).i32(static_cast<int32_t>(o.dtype));
+    key.u64(sa->digest()).i32(static_cast<int32_t>(o.dtype));
     const Matrix<float> *a = req.a;
     const int workers = ctx.encode_workers;
     return ctx.cache->getOrBuild<NarrowTileMatrix>(
         key.value(),
-        [a, &o, workers] {
+        [a, &sa, &o, workers] {
             const QuantSpec spec = QuantSpec::forValues(
                 o.dtype, a->data().data(), a->data().size());
-            return wordEncodeNarrowTile(*a, workers, spec);
+            return wordEncodeNarrowTile(*a, *sa, workers, spec);
         },
         hit);
 }
@@ -252,22 +286,23 @@ profileDensity(const SparsityProfile &p)
 }
 
 double
-weightSparsity(const KernelRequest &req)
+weightSparsity(const KernelRequest &req, OperandDigests &digests)
 {
     if (req.b)
-        return wordSparsity(*req.b);
+        return digests.summary(*req.b)->sparsity();
     if (req.b_profile)
         return 1.0 - profileDensity(*req.b_profile);
     return req.b_sparsity;
 }
 
 void
-operandDensities(const KernelRequest &req, double *da, double *db)
+operandDensities(const KernelRequest &req, OperandDigests &digests,
+                 double *da, double *db)
 {
-    *da = req.a          ? 1.0 - wordSparsity(*req.a)
+    *da = req.a          ? 1.0 - digests.summary(*req.a)->sparsity()
           : req.a_profile ? profileDensity(*req.a_profile)
                           : 1.0 - req.a_sparsity;
-    *db = req.b          ? 1.0 - wordSparsity(*req.b)
+    *db = req.b          ? 1.0 - digests.summary(*req.b)->sparsity()
           : req.b_profile ? profileDensity(*req.b_profile)
                           : 1.0 - req.b_sparsity;
 }

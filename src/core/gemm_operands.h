@@ -2,10 +2,11 @@
  * @file
  * Shared operand-resolution helpers of the GEMM plan layer: the
  * cached popcount-profile pair of a request (borrowed, built from
- * matrices, or synthesized per seed), lazily-memoized operand
- * digests, and the density probes the analytic baselines estimate
- * from. Both the primitive backends (backends.cc) and the hybrid
- * composer (hybrid.cc) resolve operands through these — one
+ * matrices, or synthesized per seed), the per-request operand
+ * summaries every cache key and derived product comes from, and the
+ * density probes the analytic baselines estimate from. Both the
+ * primitive backends (backends.cc) and the hybrid composer
+ * (hybrid.cc) resolve operands through these — one
  * implementation, one set of cache keys, so a hybrid plan and a
  * dual-sparse plan of the same operands share their cache entries.
  */
@@ -13,9 +14,11 @@
 #define DSTC_CORE_GEMM_OPERANDS_H
 
 #include <memory>
-#include <optional>
+#include <mutex>
+#include <vector>
 
 #include "core/backend.h"
+#include "core/operand_summary.h"
 #include "gemm/sparsity_profile.h"
 
 namespace dstc {
@@ -73,50 +76,49 @@ struct GemmProfilesView
 };
 
 /**
- * Lazily-computed content digests of a request's concrete operands.
- * Hashing a large matrix is a full pass over its bytes, and a plan
- * needs the same operand under several encoding families (profiles,
- * two-level, CSR) — so each operand is digested once and the 64-bit
- * digest is folded into every family key.
+ * The operand summaries of one request, shared by every plan of it:
+ * KernelRegistry::plan hands one holder to all of Auto's candidate
+ * plans through PlanContext::operands, and Hybrid routes it on to
+ * its class sub-plans. Each concrete operand is summarized — digest,
+ * non-zero bitmask and count, one streaming pass — on first use, and
+ * every plan reads the same summary instead of re-reading the
+ * floats. Thread-safe: concurrent first uses of one operand build
+ * once.
+ *
+ * Operands are told apart by address (a request's operands outlive
+ * its plans and do not change under them), so a Hybrid class slice
+ * gets a summary of its own while sharing the full B operand's.
  */
 class OperandDigests
 {
   public:
-    uint64_t
-    a(const Matrix<float> &m)
-    {
-        return digest(&m, &a_src_, &a_);
-    }
+    /** The summary of @p m, built on first use. */
+    std::shared_ptr<const OperandSummary>
+    summary(const Matrix<float> &m);
 
+    /** summary(m)->digest(): the key of every encoding family. */
     uint64_t
-    b(const Matrix<float> &m)
+    digest(const Matrix<float> &m)
     {
-        return digest(&m, &b_src_, &b_);
+        return summary(m)->digest();
     }
 
   private:
-    /** Each slot memoizes exactly one matrix: a later call with a
-     *  different object would silently reuse the wrong digest, so
-     *  the identity is checked, not assumed. */
-    static uint64_t
-    digest(const Matrix<float> *m, const Matrix<float> **src,
-           std::optional<uint64_t> *slot)
+    struct Slot
     {
-        if (!*slot) {
-            *src = m;
-            *slot = CacheKey("operand-bytes").matrix(*m).value();
-        }
-        DSTC_ASSERT(*src == m,
-                    "OperandDigests slot reused for a different "
-                    "matrix");
-        return **slot;
-    }
+        const Matrix<float> *src = nullptr;
+        const float *data = nullptr;
+        std::once_flag once;
+        std::shared_ptr<const OperandSummary> value;
+    };
 
-    const Matrix<float> *a_src_ = nullptr;
-    const Matrix<float> *b_src_ = nullptr;
-    std::optional<uint64_t> a_;
-    std::optional<uint64_t> b_;
+    std::mutex mu_;
+    std::vector<std::unique_ptr<Slot>> slots_;
 };
+
+/** The request's shared holder from @p ctx, or a fresh one for a
+ *  backend planned directly (outside KernelRegistry::plan). */
+std::shared_ptr<OperandDigests> requestOperands(const PlanContext &ctx);
 
 /**
  * Key of the synthetic profile pair of a GEMM operating point (the
@@ -236,13 +238,15 @@ resolveNarrowTileA(const KernelRequest &req, const PlanContext &ctx,
 double profileDensity(const SparsityProfile &p);
 
 /** Effective B-side (weight) sparsity of a GEMM request. Concrete
- *  operands are probed by the branchless word count (zhu / ampere
- *  plans call this in both estimate and run). */
-double weightSparsity(const KernelRequest &req);
+ *  operands read their summary's non-zero count (zhu / ampere plans
+ *  call this in both estimate and run). */
+double weightSparsity(const KernelRequest &req,
+                      OperandDigests &digests);
 
-/** Operand densities of a GEMM request (cuSPARSE baseline). */
-void operandDensities(const KernelRequest &req, double *da,
-                      double *db);
+/** Operand densities of a GEMM request (cuSPARSE baseline); concrete
+ *  operands read their summary's non-zero count. */
+void operandDensities(const KernelRequest &req,
+                      OperandDigests &digests, double *da, double *db);
 
 } // namespace dstc
 

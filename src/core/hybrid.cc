@@ -375,7 +375,7 @@ class HybridPlan : public ExecutionPlan
         : ExecutionPlan(name, Method::Hybrid, req.tag), req_(req),
           cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
           cache_(ctx.cache), encode_workers_(ctx.encode_workers),
-          registry_(ctx.registry)
+          registry_(ctx.registry), operands_(requestOperands(ctx))
     {
     }
 
@@ -459,7 +459,7 @@ class HybridPlan : public ExecutionPlan
         if (!split_resolved_) {
             split_resolved_ = true;
             const PlanContext ctx = planCtx();
-            view_ = resolveOperandView(req_, ctx, digests_);
+            view_ = resolveOperandView(req_, ctx, *operands_);
             cache_hit_ = cache_hit_ || view_.cache_hit;
             split_ = planSplit(req_, ctx, view_);
         }
@@ -475,6 +475,7 @@ class HybridPlan : public ExecutionPlan
         ctx.cache = cache_;
         ctx.encode_workers = encode_workers_;
         ctx.registry = registry_;
+        ctx.operands = operands_;
         return ctx;
     }
 
@@ -583,8 +584,8 @@ class HybridPlan : public ExecutionPlan
             return;
         bool hit_a = false, hit_b = false;
         const PlanContext ctx = planCtx();
-        a_enc_ = resolveTwoLevelA(req_, ctx, digests_, &hit_a);
-        b_enc_ = resolveTwoLevelB(req_, ctx, digests_, &hit_b);
+        a_enc_ = resolveTwoLevelA(req_, ctx, *operands_, &hit_a);
+        b_enc_ = resolveTwoLevelB(req_, ctx, *operands_, &hit_b);
         cache_hit_ = cache_hit_ || hit_a || hit_b;
     }
 
@@ -594,7 +595,8 @@ class HybridPlan : public ExecutionPlan
     EncodingCache *cache_;
     int encode_workers_ = 1;
     const KernelRegistry *registry_ = nullptr;
-    OperandDigests digests_;
+    /** Shared with the class sub-plans through planCtx(). */
+    std::shared_ptr<OperandDigests> operands_;
     bool split_resolved_ = false;
     HybridSplit split_;
     OperandView view_;
@@ -669,8 +671,8 @@ planHybridSplit(const KernelRequest &req, const PlanContext &ctx,
     DSTC_ASSERT(req.kind == KernelRequest::Kind::Gemm ||
                     req.kind == KernelRequest::Kind::Spmm,
                 "hybrid partitions GEMM and SpMM requests only");
-    OperandDigests digests;
-    const OperandView view = resolveOperandView(req, ctx, digests);
+    const OperandView view =
+        resolveOperandView(req, ctx, *requestOperands(ctx));
     if (cache_hit)
         *cache_hit = view.cache_hit;
     return planSplit(req, ctx, view);

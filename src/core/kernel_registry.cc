@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/gemm_operands.h"
 #include "gemm/sparsity_profile.h"
 
 namespace dstc {
@@ -83,6 +84,8 @@ KernelRegistry::plan(const KernelRequest &request,
     PlanContext routed = ctx;
     routed.registry = this;
     routed.cfg_digest = ctx.configDigest();
+    if (!routed.operands)
+        routed.operands = std::make_shared<OperandDigests>();
     // Operands come in pairs; a half-specified pair would silently
     // fall through to the synthetic-profile path (or null-deref).
     if (request.kind == KernelRequest::Kind::Gemm) {

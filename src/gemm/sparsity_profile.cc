@@ -5,6 +5,7 @@
 
 #include "common/bitutil.h"
 #include "common/logging.h"
+#include "core/operand_summary.h"
 #include "sparse/two_level.h"
 #include "sparse/word_encode.h"
 
@@ -147,45 +148,13 @@ SparsityProfile::fromMatrixB(const Matrix<float> &b, int tile)
 SparsityProfile
 SparsityProfile::fromMatrixAWord(const Matrix<float> &a, int tile)
 {
-    // Lines are columns: column words come out of the block
-    // transpose, then each (group, k) count is one masked POPC.
-    const int groups = ceilDiv(a.rows(), tile);
-    SparsityProfile profile(groups, a.cols(), tile, a.rows());
-    int wpl = 0;
-    const std::vector<uint64_t> bits =
-        wordEncodeBits(a, Major::Col, &wpl);
-    for (int kk = 0; kk < a.cols(); ++kk) {
-        const size_t base = static_cast<size_t>(kk) * wpl * 64;
-        for (int g = 0; g < groups; ++g) {
-            const int r0 = g * tile;
-            const int r1 = std::min(a.rows(), r0 + tile);
-            profile.setCount(
-                g, kk, popcountRange(bits, base + r0, base + r1));
-        }
-    }
-    return profile;
+    return OperandSummary(a).profileA(tile);
 }
 
 SparsityProfile
 SparsityProfile::fromMatrixBWord(const Matrix<float> &b, int tile)
 {
-    // Lines are rows: row words are one branchless pass over the
-    // row-major storage, counts one masked POPC per (group, k).
-    const int groups = ceilDiv(b.cols(), tile);
-    SparsityProfile profile(groups, b.rows(), tile, b.cols());
-    int wpl = 0;
-    const std::vector<uint64_t> bits =
-        wordEncodeBits(b, Major::Row, &wpl);
-    for (int kk = 0; kk < b.rows(); ++kk) {
-        const size_t base = static_cast<size_t>(kk) * wpl * 64;
-        for (int g = 0; g < groups; ++g) {
-            const int c0 = g * tile;
-            const int c1 = std::min(b.cols(), c0 + tile);
-            profile.setCount(
-                g, kk, popcountRange(bits, base + c0, base + c1));
-        }
-    }
-    return profile;
+    return OperandSummary(b).profileB(tile);
 }
 
 SparsityProfile

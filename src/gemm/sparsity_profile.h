@@ -122,15 +122,16 @@ class SparsityProfile
     static SparsityProfile fromMatrixB(const Matrix<float> &b, int tile);
 
     /**
-     * Word-parallel fromMatrixA: bitmap words built 64 elements at a
-     * time (column words via 64x64 block transpose), counts read off
-     * by POPC. Identical output; this is what the plan paths use.
+     * Word-parallel fromMatrixA: the operand's one-pass
+     * OperandSummary (row bitmask words built 64 elements at a
+     * time), its profileA. Identical output. Plans that already hold
+     * the summary call profileA directly.
      */
     static SparsityProfile fromMatrixAWord(const Matrix<float> &a,
                                            int tile);
 
-    /** Word-parallel fromMatrixB (row words + POPC). Identical
-     *  output to fromMatrixB. */
+    /** Word-parallel fromMatrixB: OperandSummary(b).profileB(tile)
+     *  (row words + POPC). Identical output to fromMatrixB. */
     static SparsityProfile fromMatrixBWord(const Matrix<float> &b,
                                            int tile);
 

@@ -173,6 +173,8 @@ ServingEngine::run()
     std::vector<PendingRetry> retries;
 
     ServingResult result;
+    // Every completion is one admitted arrival: one allocation.
+    result.outcomes.reserve(arrivals.size());
     std::vector<int64_t> rejected_per_class(kNumDeadlineClasses, 0);
     std::vector<int64_t> shed_per_class(kNumDeadlineClasses, 0);
     std::vector<int64_t> dropped_per_class(kNumDeadlineClasses, 0);
@@ -303,7 +305,8 @@ ServingEngine::run()
             if (fl.hedge_secondary)
                 ++fr.hedge_wins;
         }
-        result.outcomes.push_back(fl.outcome);
+        // The arm is resolved for good: its record moves out.
+        result.outcomes.push_back(std::move(fl.outcome));
         scheduler.completed(d);
     };
 
@@ -653,10 +656,21 @@ ServingEngine::run()
             dispatch(d, now);
     }
 
-    std::sort(result.outcomes.begin(), result.outcomes.end(),
-              [](const ServeOutcome &a, const ServeOutcome &b) {
-                  return a.id < b.id;
-              });
+    // Submission-id order: sort (id, index) pairs, then move each
+    // record once into place — a whole-record sort would move every
+    // embedded KernelReport O(log n) times.
+    {
+        std::vector<std::pair<int64_t, size_t>> order;
+        order.reserve(result.outcomes.size());
+        for (size_t i = 0; i < result.outcomes.size(); ++i)
+            order.emplace_back(result.outcomes[i].id, i);
+        std::sort(order.begin(), order.end());
+        std::vector<ServeOutcome> sorted;
+        sorted.reserve(order.size());
+        for (const auto &entry : order)
+            sorted.push_back(std::move(result.outcomes[entry.second]));
+        result.outcomes = std::move(sorted);
+    }
 
     // -- assemble the scorecard --------------------------------------
     ServingStats &stats = result.stats;

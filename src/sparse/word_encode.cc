@@ -5,28 +5,12 @@
 #include "common/bitutil.h"
 #include "common/fp16.h"
 #include "common/logging.h"
+#include "core/operand_summary.h"
 #include "core/thread_pool.h"
 
 namespace dstc {
 
 namespace {
-
-/** Row-major bitmap words: one branchless pass over the storage. */
-std::vector<uint64_t>
-rowMajorBits(const Matrix<float> &dense, int wpl)
-{
-    const int rows = dense.rows(), cols = dense.cols();
-    std::vector<uint64_t> bits(static_cast<size_t>(rows) * wpl, 0);
-    const float *data = dense.data().data();
-    for (int r = 0; r < rows; ++r) {
-        const float *row = data + static_cast<size_t>(r) * cols;
-        uint64_t *words = bits.data() + static_cast<size_t>(r) * wpl;
-        for (int c0 = 0; c0 < cols; c0 += 64)
-            words[c0 >> 6] =
-                packNonzeroBits(row + c0, std::min(64, cols - c0));
-    }
-    return bits;
-}
 
 /**
  * Column-major bitmap words from the row-major ones via 64x64 block
@@ -59,22 +43,6 @@ transposeBits(const std::vector<uint64_t> &row_bits, int rows,
 }
 
 } // namespace
-
-std::vector<uint64_t>
-wordEncodeBits(const Matrix<float> &dense, Major major,
-               int *words_per_line)
-{
-    const int line_len =
-        major == Major::Col ? dense.rows() : dense.cols();
-    const int wpl = ceilDiv(line_len, 64);
-    if (words_per_line)
-        *words_per_line = wpl;
-    const int wpl_row = ceilDiv(dense.cols(), 64);
-    if (major == Major::Row)
-        return rowMajorBits(dense, wpl_row);
-    return transposeBits(rowMajorBits(dense, wpl_row), dense.rows(),
-                         dense.cols(), wpl_row, wpl);
-}
 
 BitmapMatrix
 wordEncodeBitmap(const Matrix<float> &dense, Major major,
@@ -607,14 +575,26 @@ NarrowTileMatrix
 wordEncodeNarrowTile(const Matrix<float> &dense, int num_workers,
                      const QuantSpec &spec)
 {
+    return wordEncodeNarrowTile(dense, OperandSummary(dense),
+                                num_workers, spec);
+}
+
+NarrowTileMatrix
+wordEncodeNarrowTile(const Matrix<float> &dense,
+                     const OperandSummary &summary, int num_workers,
+                     const QuantSpec &spec)
+{
     constexpr int kStrip = NarrowTileMatrix::kStripRows;
     const int rows = dense.rows(), cols = dense.cols();
+    DSTC_ASSERT(summary.rows() == rows && summary.cols() == cols,
+                "summary of a ", summary.rows(), "x", summary.cols(),
+                " operand used for a ", rows, "x", cols, " one");
     const int n_strips = ceilDiv(rows, kStrip);
-    const int wps = ceilDiv(cols, 64);
+    const int wps = summary.wordsPerRow();
     const float *data = dense.data().data();
 
-    // Sizing pass: per strip, pack the 8 row words per 64-column
-    // chunk, OR them into the level-1 word, and count vectors (POPC
+    // Sizing pass: per strip, OR the 8 row mask words of each
+    // 64-column chunk into the level-1 word, and count vectors (POPC
     // of the OR) and non-zeros (POPC of each row word).
     std::vector<uint64_t> vector_bits(
         static_cast<size_t>(n_strips) * wps, 0);
@@ -629,19 +609,15 @@ wordEncodeNarrowTile(const Matrix<float> &dense, int num_workers,
         uint64_t *level1 =
             vector_bits.data() + static_cast<size_t>(s) * wps;
         int64_t nv = 0, nnz = 0;
-        for (int c0 = 0; c0 < cols; c0 += 64) {
-            const int chunk = std::min(64, cols - c0);
-            uint64_t combined = 0;
-            for (int j = 0; j < span; ++j) {
-                const uint64_t w = packNonzeroBits(
-                    data + static_cast<size_t>(r0 + j) * cols + c0,
-                    chunk);
-                combined |= w;
-                nnz += popcount64(w);
+        for (int j = 0; j < span; ++j) {
+            const uint64_t *row = summary.rowWords(r0 + j);
+            for (int w = 0; w < wps; ++w) {
+                level1[w] |= row[w];
+                nnz += popcount64(row[w]);
             }
-            level1[c0 >> 6] = combined;
-            nv += popcount64(combined);
         }
+        for (int w = 0; w < wps; ++w)
+            nv += popcount64(level1[w]);
         strip_vectors[static_cast<size_t>(s)] = nv;
         strip_nnz[static_cast<size_t>(s)] = nnz;
     };
@@ -674,30 +650,29 @@ wordEncodeNarrowTile(const Matrix<float> &dense, int num_workers,
     std::vector<float> values(static_cast<size_t>(total_nnz));
     std::vector<float> values_quant(static_cast<size_t>(total_nnz));
 
-    // Fill pass: re-pack each strip's row words (still one stream
-    // over the dense rows, now cache-warm per strip), walk the
-    // level-1 word by ctz in ascending column order, and gather each
-    // vector's mask and values ascending row.
+    // Fill pass: only the non-zero level-1 words are visited. Each
+    // one's set bits are walked by ctz in ascending column order,
+    // and each vector's mask and values gathered ascending row — the
+    // dense floats are read at the non-zeros alone.
     auto fill_strip = [&](int64_t sl) {
         const int s = static_cast<int>(sl);
         const int r0 = s * kStrip;
         const int span = std::min(kStrip, rows - r0);
+        const uint64_t *level1 =
+            vector_bits.data() + static_cast<size_t>(s) * wps;
         int64_t v = strip_offsets[static_cast<size_t>(s)];
         int64_t at = value_base[static_cast<size_t>(s)];
-        uint64_t row_words[kStrip];
-        for (int c0 = 0; c0 < cols; c0 += 64) {
-            const int chunk = std::min(64, cols - c0);
-            uint64_t combined = 0;
-            for (int j = 0; j < span; ++j) {
-                row_words[j] = packNonzeroBits(
-                    data + static_cast<size_t>(r0 + j) * cols + c0,
-                    chunk);
-                combined |= row_words[j];
-            }
+        for (int w = 0; w < wps; ++w) {
+            uint64_t combined = level1[w];
+            if (!combined)
+                continue;
+            uint64_t row_words[kStrip];
+            for (int j = 0; j < span; ++j)
+                row_words[j] = summary.rowWords(r0 + j)[w];
             while (combined) {
                 const int b = std::countr_zero(combined);
                 combined &= combined - 1;
-                const int c = c0 + b;
+                const int c = (w << 6) + b;
                 uint8_t mask = 0;
                 for (int j = 0; j < span; ++j)
                     if ((row_words[j] >> b) & 1) {
@@ -724,30 +699,6 @@ wordEncodeNarrowTile(const Matrix<float> &dense, int num_workers,
         std::move(strip_offsets), std::move(masks),
         std::move(value_offsets), std::move(values),
         std::move(values_quant));
-}
-
-int64_t
-wordNnz(const float *data, size_t n)
-{
-    int64_t count = 0;
-    size_t i = 0;
-    for (; i + 64 <= n; i += 64)
-        count += popcount64(packNonzeroBits(data + i, 64));
-    if (i < n)
-        count += popcount64(
-            packNonzeroBits(data + i, static_cast<int>(n - i)));
-    return count;
-}
-
-double
-wordSparsity(const Matrix<float> &m)
-{
-    const size_t total = m.size();
-    if (total == 0)
-        return 0.0;
-    return 1.0 -
-           static_cast<double>(wordNnz(m.data().data(), total)) /
-               static_cast<double>(total);
 }
 
 } // namespace dstc

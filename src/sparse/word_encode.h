@@ -5,7 +5,7 @@
  *
  * Every function here is bitwise identical to its element-wise
  * counterpart (BitmapMatrix::encode / TwoLevelBitmapMatrix::encode /
- * SparsityProfile::fromMatrix*), which stay as the test references.
+ * NarrowTileMatrix::encode), which stay as the test references.
  * The difference is purely mechanical: bits are built 64 elements
  * per word with branchless compares, column-major bitmaps come out
  * of 64x64 block transposes instead of per-element probes, values
@@ -27,6 +27,8 @@
 
 namespace dstc {
 
+class OperandSummary;
+
 /**
  * Word-parallel BitmapMatrix::encode: bitmap words built 64
  * elements at a time, values packed via ctz walks. Bitwise identical
@@ -35,16 +37,6 @@ namespace dstc {
  */
 BitmapMatrix wordEncodeBitmap(const Matrix<float> &dense, Major major,
                               const QuantSpec &spec = {});
-
-/**
- * The bitmap words of @p dense alone (no values), in the line-major
- * layout of BitmapMatrix: wordsPerLine() words per packing line,
- * LSB-first. The cheap front half of wordEncodeBitmap, for callers
- * that only need popcounts (profile extraction).
- */
-std::vector<uint64_t> wordEncodeBits(const Matrix<float> &dense,
-                                     Major major,
-                                     int *words_per_line);
 
 /**
  * Word-parallel TwoLevelBitmapMatrix::encode: the full matrix is
@@ -72,29 +64,26 @@ TwoLevelBitmapMatrix wordEncodeTwoLevel(const Matrix<float> &dense,
                                         const QuantSpec &spec = {});
 
 /**
- * Word-parallel NarrowTileMatrix::encode: each 8-row strip packs its
- * row words (64 compares per word), ORs them into the strip's
- * level-1 vector-bitmap words, and gathers vector masks and values
- * by ctz walks while the strip's rows are cache-resident — a sizing
- * pass then a fill pass, like the two-level row builder. Strips are
- * disjoint, so the result is bitwise identical to the scalar
- * NarrowTileMatrix::encode for every worker count (same
- * num_workers contract as wordEncodeTwoLevel).
+ * Word-parallel NarrowTileMatrix::encode over the operand's
+ * OperandSummary: each 8-row strip ORs its row mask words into the
+ * strip's level-1 vector-bitmap words, then gathers vector masks and
+ * values by ctz walks over the non-zero level-1 words only, reading
+ * the dense floats at the non-zeros alone — a sizing pass then a
+ * fill pass, both over the mask. Strips are disjoint, so the result
+ * is bitwise identical to the scalar NarrowTileMatrix::encode for
+ * every worker count (same num_workers contract as
+ * wordEncodeTwoLevel). @p summary must be OperandSummary(dense).
  */
 NarrowTileMatrix wordEncodeNarrowTile(const Matrix<float> &dense,
+                                      const OperandSummary &summary,
                                       int num_workers = 1,
                                       const QuantSpec &spec = {});
 
-/**
- * Non-zero count of @p n floats by branchless 64-bit mask build +
- * POPC (no per-element branch to mispredict). Identical to counting
- * `v != 0.0f` element-wise.
- */
-int64_t wordNnz(const float *data, size_t n);
-
-/** Matrix::sparsity() via wordNnz — the word-parallel density probe
- *  the plan paths use on concrete operands. */
-double wordSparsity(const Matrix<float> &m);
+/** wordEncodeNarrowTile of a fresh OperandSummary(dense): for
+ *  callers that do not hold the summary already. */
+NarrowTileMatrix wordEncodeNarrowTile(const Matrix<float> &dense,
+                                      int num_workers = 1,
+                                      const QuantSpec &spec = {});
 
 } // namespace dstc
 

@@ -29,6 +29,7 @@
 #include "core/gemm_operands.h"
 #include "core/session.h"
 #include "gemm/spmm_device.h"
+#include "sparse/mtx_io.h"
 #include "sparse/word_encode.h"
 #include "tensor/matrix.h"
 
@@ -360,6 +361,88 @@ TEST(Spmm, HybridPartitionsAtStripGranularity)
         for (int c = 0; c < n; ++c)
             EXPECT_NEAR(ref.at(r, c), hyb.d->at(r, c), 5e-2)
                 << "(" << r << ", " << c << ")";
+}
+
+/** FNV-1a over every KernelStats field, bit for bit: one 64-bit
+ *  value a decision pin can hold. */
+uint64_t
+statsFingerprint(const KernelStats &s)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto fold = [&h](const void *p, size_t n) {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ull;
+        }
+    };
+    fold(s.name.data(), s.name.size());
+    for (int64_t v :
+         {s.mix.hmma, s.mix.ohmma_issued, s.mix.ohmma_skipped,
+          s.mix.bohmma, s.mix.popc, s.warp_tiles, s.warp_tiles_skipped,
+          s.merge_cycles})
+        fold(&v, sizeof(v));
+    for (double v : {s.compute_us, s.memory_us, s.dram_bytes,
+                     s.launch_us})
+        fold(&v, sizeof(v));
+    const int bound = static_cast<int>(s.bound);
+    fold(&bound, sizeof(bound));
+    return h;
+}
+
+/**
+ * Decision pin over the checked-in corpus at N = 32: Method::Auto
+ * must keep the backend and the format (the kernel name) it chose
+ * when the pin was recorded, and KernelStats bitwise equal to the
+ * recorded ones, with planned_us equal to the executed time and the
+ * output bitwise equal to refSpmmNarrow. Operand ingest may change
+ * how profiles and encodings are built, never what is decided.
+ */
+TEST(Spmm, CorpusAutoDecisionsPinned)
+{
+    struct Pin
+    {
+        const char *file;
+        Method method;
+        const char *kernel;
+        uint64_t stats;
+    };
+    const Pin pins[] = {
+        {"circuit_like.mtx", Method::DualSparse, "dstc_spmm_narrow",
+         0x69bf6bd22b31ae17ull},
+        {"cora_like.mtx", Method::DualSparse, "dstc_spmm_narrow",
+         0x72ccfbe100a1e4aeull},
+        {"ppi_like.mtx", Method::DualSparse, "dstc_spmm_narrow",
+         0xaacca16d2d0e4c00ull},
+        {"roadnet_like.mtx", Method::DualSparse, "dstc_spmm_narrow",
+         0x5deb88e0bff9ffdfull},
+        {"stencil5.mtx", Method::DualSparse, "dstc_spmm_wide",
+         0xd6ba187e5d48c737ull},
+        {"web_like.mtx", Method::DualSparse, "dstc_spmm_narrow",
+         0x776b3bf908bcc981ull},
+    };
+    Rng rng(0xc0a5);
+    for (const Pin &pin : pins) {
+        Matrix<float> a;
+        std::string error;
+        ASSERT_TRUE(loadMatrixMarket(
+            std::string(DSTC_CORPUS_DIR) + "/" + pin.file, &a, &error))
+            << error;
+        const Matrix<float> b =
+            randomSparseMatrix(a.cols(), 32, 0.0, rng);
+        Session session;
+        const KernelReport r = session.run(KernelRequest::spmm(a, b));
+        EXPECT_EQ(r.method, pin.method) << pin.file;
+        EXPECT_EQ(r.stats.name, pin.kernel) << pin.file;
+        EXPECT_EQ(statsFingerprint(r.stats), pin.stats)
+            << pin.file << " stats 0x" << std::hex
+            << statsFingerprint(r.stats) << " (" << methodName(r.method)
+            << ", " << r.stats.name << ")";
+        EXPECT_EQ(r.planned_us, r.timeUs()) << pin.file;
+        ASSERT_TRUE(r.d) << pin.file;
+        expectMatricesEqual(refSpmmNarrow(a, b, DataType::Fp16), *r.d,
+                            pin.file);
+    }
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/operand_summary.h"
 #include "gemm/sparsity_profile.h"
 #include "model/sparsity_gen.h"
 
@@ -197,22 +198,23 @@ TEST(WordEncode, ProfilesRecordTrueExtents)
     EXPECT_EQ(SparsityProfile(3, 8, 32).extent(), 96);
 }
 
-TEST(WordEncode, WordNnzMatchesElementCount)
+TEST(WordEncode, SummaryNnzMatchesElementCount)
 {
+    // The plan paths' density probe is the operand summary's count.
     Rng rng(737);
     for (int n : {0, 1, 63, 64, 65, 1000}) {
-        std::vector<float> v(static_cast<size_t>(n));
+        Matrix<float> v(1, n);
         int64_t expect = 0;
-        for (auto &x : v) {
+        for (auto &x : v.data()) {
             x = rng.bernoulli(0.5)
                     ? 0.0f
                     : rng.uniformFloat(-1.0f, 1.0f);
             expect += x != 0.0f;
         }
-        EXPECT_EQ(wordNnz(v.data(), v.size()), expect) << n;
+        EXPECT_EQ(OperandSummary(v).nnz(), expect) << n;
     }
     Matrix<float> m = randomSparseMatrix(37, 53, 0.8, rng);
-    EXPECT_EQ(wordSparsity(m), m.sparsity());
+    EXPECT_EQ(OperandSummary(m).sparsity(), m.sparsity());
 }
 
 } // namespace

@@ -256,6 +256,10 @@ def transient_retry(p):
         "retry" in p.get("recovery", "")
 
 
+def sparse_ingest(p):
+    return p.get("kind") == "ingest" and p.get("sparsity", 0.0) >= 0.99
+
+
 def best_of_n_multicore(config):
     # Single-rep timings are one raw sample each (a late pool wake-up
     # can triple a sub-millisecond pooled point), and on one hardware
@@ -336,6 +340,13 @@ BENCHES = {
             PRECISION_BITWISE,
             footprint_gate("int8"),
             footprint_gate("int4"),
+            # One OperandSummary and what it derives never cost more
+            # than the separate passes it replaced, on every side, at
+            # the sparsities plans meet concrete operands at. At 50%
+            # density both arms are dominated by the same narrow-tile
+            # value gather, so that point reads noise around 1.0x.
+            Gate("ingest summary <= separate", BOTH, per_point,
+                 field=SPEEDUP, lo=1.0, where=sparse_ingest, need=True),
         ),
     },
     "micro_cluster": {

@@ -118,6 +118,11 @@ MUTATIONS = [
     ("micro_encode", "int4 footprint", "reference",
      "int4 encoded_mb x10",
      scale("encoded_mb", 10.0, arm("dtype", "int4"), "precision_points")),
+    ("micro_encode", "ingest summary <= separate", "reference",
+     "sparse ingest speedup = 0.9",
+     assign(SPEEDUP, 0.9, check_bench.sparse_ingest)),
+    ("micro_encode", "ingest summary <= separate", "measured",
+     "no sparse ingest points", drop(check_bench.sparse_ingest)),
     ("micro_cluster", "cost vs rr makespan", "measured",
      "cost makespan_us x10", scale("makespan_us", 10.0, policy("cost"))),
     ("micro_cluster", "cost vs rr makespan", "reference",
