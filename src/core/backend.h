@@ -55,10 +55,11 @@ struct PlanContext
     /**
      * The operand summaries of the request being planned (see
      * OperandDigests in gemm_operands.h), shared by every plan of
-     * it: KernelRegistry::plan creates one per request when the
-     * caller supplies none, so Auto's candidates and Hybrid's class
-     * sub-plans read each concrete operand once. Null when a backend
-     * is planned directly; the plan then makes its own.
+     * it: KernelRegistry::plan creates one per request with concrete
+     * GEMM/SpMM operands when the caller supplies none, so Auto's
+     * candidates and Hybrid's class sub-plans read each concrete
+     * operand once. Null otherwise; a plan then uses its own
+     * (PlanOperands).
      */
     std::shared_ptr<OperandDigests> operands;
 

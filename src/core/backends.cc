@@ -83,7 +83,7 @@ class DualGemmPlan : public ExecutionPlan
         : ExecutionPlan(name, Method::DualSparse, req.tag), req_(req),
           cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
           cache_(ctx.cache), encode_workers_(ctx.encode_workers),
-          operands_(requestOperands(ctx))
+          operands_(ctx)
     {
     }
 
@@ -240,7 +240,7 @@ class DualGemmPlan : public ExecutionPlan
     uint64_t cfg_digest_;
     EncodingCache *cache_;
     int encode_workers_ = 1;
-    std::shared_ptr<OperandDigests> operands_;
+    PlanOperands operands_;
     bool profiles_resolved_ = false;
     GemmProfilesView profiles_;
     std::shared_ptr<const TwoLevelBitmapMatrix> a_enc_;
@@ -263,7 +263,7 @@ class DualSpmmPlan : public ExecutionPlan
         : ExecutionPlan(name, Method::DualSparse, req.tag), req_(req),
           cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
           cache_(ctx.cache), encode_workers_(ctx.encode_workers),
-          operands_(requestOperands(ctx))
+          operands_(ctx)
     {
     }
 
@@ -395,7 +395,7 @@ class DualSpmmPlan : public ExecutionPlan
     uint64_t cfg_digest_;
     EncodingCache *cache_;
     int encode_workers_ = 1;
-    std::shared_ptr<OperandDigests> operands_;
+    PlanOperands operands_;
     SpmmFormat format_ = SpmmFormat::Auto; ///< Auto = not chosen yet
     bool profiles_resolved_ = false;
     SpmmProfilesView profiles_;
@@ -560,7 +560,7 @@ class AnalyticGemmPlan : public ExecutionPlan
                      const KernelRequest &req, const PlanContext &ctx,
                      TimeFn time, MultiplyFn multiply)
         : ExecutionPlan(name, method, req.tag), req_(req),
-          cfg_(*ctx.cfg), operands_(requestOperands(ctx)), time_(time),
+          cfg_(*ctx.cfg), operands_(ctx), time_(time),
           multiply_(multiply)
     {
     }
@@ -590,7 +590,7 @@ class AnalyticGemmPlan : public ExecutionPlan
   private:
     KernelRequest req_;
     GpuConfig cfg_;
-    std::shared_ptr<OperandDigests> operands_;
+    PlanOperands operands_;
     TimeFn time_;
     MultiplyFn multiply_;
 };
@@ -791,7 +791,7 @@ class CusparseGemmPlan : public ExecutionPlan
                      const PlanContext &ctx)
         : ExecutionPlan(name, Method::CusparseLike, req.tag),
           req_(req), cfg_(*ctx.cfg), cache_(ctx.cache),
-          operands_(requestOperands(ctx))
+          operands_(ctx)
     {
     }
 
@@ -866,7 +866,7 @@ class CusparseGemmPlan : public ExecutionPlan
     KernelRequest req_;
     GpuConfig cfg_;
     EncodingCache *cache_;
-    std::shared_ptr<OperandDigests> operands_;
+    PlanOperands operands_;
     std::shared_ptr<const CsrMatrix> a_csr_;
     std::shared_ptr<const CsrMatrix> b_csr_;
 };
@@ -885,7 +885,7 @@ class CusparseSpmmPlan : public ExecutionPlan
                      const PlanContext &ctx)
         : ExecutionPlan(name, Method::CusparseLike, req.tag),
           req_(req), cfg_(*ctx.cfg), cache_(ctx.cache),
-          operands_(requestOperands(ctx))
+          operands_(ctx)
     {
     }
 
@@ -956,7 +956,7 @@ class CusparseSpmmPlan : public ExecutionPlan
     KernelRequest req_;
     GpuConfig cfg_;
     EncodingCache *cache_;
-    std::shared_ptr<OperandDigests> operands_;
+    PlanOperands operands_;
     std::shared_ptr<const CsrMatrix> a_csr_;
 };
 

@@ -31,13 +31,6 @@ OperandDigests::summary(const Matrix<float> &m)
     return slot->value;
 }
 
-std::shared_ptr<OperandDigests>
-requestOperands(const PlanContext &ctx)
-{
-    return ctx.operands ? ctx.operands
-                        : std::make_shared<OperandDigests>();
-}
-
 uint64_t
 syntheticGemmProfileKey(const KernelRequest &req)
 {

@@ -116,9 +116,33 @@ class OperandDigests
     std::vector<std::unique_ptr<Slot>> slots_;
 };
 
-/** The request's shared holder from @p ctx, or a fresh one for a
- *  backend planned directly (outside KernelRegistry::plan). */
-std::shared_ptr<OperandDigests> requestOperands(const PlanContext &ctx);
+/**
+ * A plan's handle on its request's OperandDigests: the shared holder
+ * from PlanContext::operands when there is one (KernelRegistry::plan
+ * makes one per request with concrete operands), else a holder of the
+ * plan's own. The fallback is a member, not a heap allocation, so a
+ * timing-only request pays nothing for it.
+ */
+class PlanOperands
+{
+  public:
+    explicit PlanOperands(const PlanContext &ctx) : shared_(ctx.operands)
+    {
+    }
+
+    OperandDigests &operator*() { return shared_ ? *shared_ : own_; }
+    OperandDigests *operator->() { return &**this; }
+
+    /** The request's shared holder; null when the plan uses its own. */
+    const std::shared_ptr<OperandDigests> &shared() const
+    {
+        return shared_;
+    }
+
+  private:
+    std::shared_ptr<OperandDigests> shared_;
+    OperandDigests own_;
+};
 
 /**
  * Key of the synthetic profile pair of a GEMM operating point (the

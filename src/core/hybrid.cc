@@ -375,7 +375,7 @@ class HybridPlan : public ExecutionPlan
         : ExecutionPlan(name, Method::Hybrid, req.tag), req_(req),
           cfg_(*ctx.cfg), cfg_digest_(ctx.configDigest()),
           cache_(ctx.cache), encode_workers_(ctx.encode_workers),
-          registry_(ctx.registry), operands_(requestOperands(ctx))
+          registry_(ctx.registry), operands_(ctx)
     {
     }
 
@@ -475,7 +475,7 @@ class HybridPlan : public ExecutionPlan
         ctx.cache = cache_;
         ctx.encode_workers = encode_workers_;
         ctx.registry = registry_;
-        ctx.operands = operands_;
+        ctx.operands = operands_.shared();
         return ctx;
     }
 
@@ -596,7 +596,7 @@ class HybridPlan : public ExecutionPlan
     int encode_workers_ = 1;
     const KernelRegistry *registry_ = nullptr;
     /** Shared with the class sub-plans through planCtx(). */
-    std::shared_ptr<OperandDigests> operands_;
+    PlanOperands operands_;
     bool split_resolved_ = false;
     HybridSplit split_;
     OperandView view_;
@@ -671,8 +671,8 @@ planHybridSplit(const KernelRequest &req, const PlanContext &ctx,
     DSTC_ASSERT(req.kind == KernelRequest::Kind::Gemm ||
                     req.kind == KernelRequest::Kind::Spmm,
                 "hybrid partitions GEMM and SpMM requests only");
-    const OperandView view =
-        resolveOperandView(req, ctx, *requestOperands(ctx));
+    PlanOperands operands(ctx);
+    const OperandView view = resolveOperandView(req, ctx, *operands);
     if (cache_hit)
         *cache_hit = view.cache_hit;
     return planSplit(req, ctx, view);

@@ -84,7 +84,9 @@ KernelRegistry::plan(const KernelRequest &request,
     PlanContext routed = ctx;
     routed.registry = this;
     routed.cfg_digest = ctx.configDigest();
-    if (!routed.operands)
+    // One holder of operand summaries per request with concrete
+    // GEMM/SpMM operands, shared by every plan of it.
+    if (!routed.operands && request.a)
         routed.operands = std::make_shared<OperandDigests>();
     // Operands come in pairs; a half-specified pair would silently
     // fall through to the synthetic-profile path (or null-deref).
