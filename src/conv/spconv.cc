@@ -4,6 +4,7 @@
 
 #include "baselines/zhu_sparse_tc.h"
 #include "common/logging.h"
+#include "core/operand_summary.h"
 #include "gemm/dense_gemm.h"
 #include "gemm/spgemm_device.h"
 #include "im2col/dense_im2col.h"
@@ -138,9 +139,13 @@ ConvExecutor::run(const Tensor4d &input, const Matrix<float> &weights,
 
     TwoLevelBitmapMatrix a_enc = lfm.toTwoLevel(
         gemm_opts.tile_m, gemm_opts.tile_k, options.num_workers);
+    // The weights are read once: their summary's mask yields both
+    // the B encoding and its profile.
+    const OperandSummary wt_sum(wt);
     TwoLevelBitmapMatrix b_enc =
-        wordEncodeTwoLevel(wt, gemm_opts.tile_k, gemm_opts.tile_n,
-                           Major::Row, options.num_workers);
+        wordEncodeTwoLevel(wt, wt_sum, gemm_opts.tile_k,
+                           gemm_opts.tile_n, Major::Row,
+                           options.num_workers);
     SpGemmDevice spgemm(cfg_);
     Matrix<float> d =
         spgemm.multiplyEncoded(a_enc, b_enc, gemm_opts).d;
@@ -153,8 +158,7 @@ ConvExecutor::run(const Tensor4d &input, const Matrix<float> &weights,
             ? SparsityProfile::fromLowered(lfm, 32)
             : SparsityProfile::denseA(shape.loweredRows(),
                                       shape.loweredCols(), 32);
-    SparsityProfile b_profile =
-        SparsityProfile::fromMatrixBWord(wt, 32);
+    SparsityProfile b_profile = wt_sum.profileB(32);
     const double weight_bytes =
         static_cast<double>(b_profile.encodedBytes(32));
 

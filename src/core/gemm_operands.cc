@@ -133,8 +133,9 @@ resolveTwoLevelA(const KernelRequest &req, const PlanContext &ctx,
     // The encoding's value lane is quantized at the request datatype,
     // so the key folds the dtype: two requests sharing a content
     // digest but differing in datatype must never collide.
+    const auto sa = digests.summary(*req.a);
     CacheKey key("two-level-a");
-    key.u64(digests.digest(*req.a))
+    key.u64(sa->digest())
         .i32(o.tile_m)
         .i32(o.tile_k)
         .i32(static_cast<int32_t>(o.dtype));
@@ -142,12 +143,12 @@ resolveTwoLevelA(const KernelRequest &req, const PlanContext &ctx,
     const int workers = ctx.encode_workers;
     return ctx.cache->getOrBuild<TwoLevelBitmapMatrix>(
         key.value(),
-        [a, &o, workers] {
+        [a, &sa, &o, workers] {
             // Integer scales are matrix-global (serial fabs-max, so
             // the spec is independent of the worker partitioning).
             const QuantSpec spec = QuantSpec::forValues(
                 o.dtype, a->data().data(), a->data().size());
-            return wordEncodeTwoLevel(*a, o.tile_m, o.tile_k,
+            return wordEncodeTwoLevel(*a, *sa, o.tile_m, o.tile_k,
                                       Major::Col, workers, spec);
         },
         hit);
@@ -158,8 +159,9 @@ resolveTwoLevelB(const KernelRequest &req, const PlanContext &ctx,
                  OperandDigests &digests, bool *hit)
 {
     const SpGemmOptions &o = req.gemm_options;
+    const auto sb = digests.summary(*req.b);
     CacheKey key("two-level-b");
-    key.u64(digests.digest(*req.b))
+    key.u64(sb->digest())
         .i32(o.tile_k)
         .i32(o.tile_n)
         .i32(static_cast<int32_t>(o.dtype));
@@ -167,10 +169,10 @@ resolveTwoLevelB(const KernelRequest &req, const PlanContext &ctx,
     const int workers = ctx.encode_workers;
     return ctx.cache->getOrBuild<TwoLevelBitmapMatrix>(
         key.value(),
-        [b, &o, workers] {
+        [b, &sb, &o, workers] {
             const QuantSpec spec = QuantSpec::forValues(
                 o.dtype, b->data().data(), b->data().size());
-            return wordEncodeTwoLevel(*b, o.tile_k, o.tile_n,
+            return wordEncodeTwoLevel(*b, *sb, o.tile_k, o.tile_n,
                                       Major::Row, workers, spec);
         },
         hit);

@@ -10,12 +10,14 @@
  * digest, a row-major non-zero bitmask (1 bit per element) and the
  * non-zero counts. Everything else a plan derives from a concrete
  * operand — the popcount profiles, the density probes and the
- * narrow 8x1 encoding's bitmaps — is read off the bitmask, which is
- * 1/32 of the float bytes, instead of off the floats again.
+ * two-level and narrow 8x1 encodings' bitmaps — is read off the
+ * bitmask, which is 1/32 of the float bytes, instead of off the
+ * floats again.
  *
  * The bitmask is the paper's own bitmap encoding of the operand, row
- * major, so it is also what every A- and B-side profile and the
- * narrow-tile level-1 vector bitmaps are built from.
+ * major, so it is also what every A- and B-side profile, the
+ * two-level warp tiles' bitmaps and the narrow-tile level-1 vector
+ * bitmaps are built from.
  */
 #ifndef DSTC_CORE_OPERAND_SUMMARY_H
 #define DSTC_CORE_OPERAND_SUMMARY_H

@@ -5,6 +5,7 @@
 
 #include "common/bitutil.h"
 #include "core/thread_pool.h"
+#include "sparse/word_encode.h"
 #include "timing/scheduler.h"
 
 namespace dstc {
@@ -58,10 +59,12 @@ SpGemmDevice::multiply(const Matrix<float> &a, const Matrix<float> &b,
         options.dtype, a.data().data(), a.data().size());
     const QuantSpec spec_b = QuantSpec::forValues(
         options.dtype, b.data().data(), b.data().size());
-    TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
-        a, options.tile_m, options.tile_k, Major::Col, spec_a);
-    TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
-        b, options.tile_k, options.tile_n, Major::Row, spec_b);
+    TwoLevelBitmapMatrix a_enc =
+        wordEncodeTwoLevel(a, options.tile_m, options.tile_k,
+                           Major::Col, options.num_workers, spec_a);
+    TwoLevelBitmapMatrix b_enc =
+        wordEncodeTwoLevel(b, options.tile_k, options.tile_n,
+                           Major::Row, options.num_workers, spec_b);
     return multiplyEncoded(a_enc, b_enc, options);
 }
 

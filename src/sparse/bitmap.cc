@@ -54,6 +54,45 @@ BitmapMatrix::encode(const Matrix<float> &dense, Major major,
     return bm;
 }
 
+namespace {
+
+/**
+ * Pack a row-major contiguous block of floats into bitmap words
+ * (@p words_per_line words per row, LSB-first, built 64 elements at
+ * a time via packNonzeroBits) and gather the non-zero values in
+ * row-major order, appended to @p values while each row is still
+ * cache-resident. Entry r+1 of @p row_offsets (@p rows + 1 entries,
+ * [0] already 0) receives the value count through row r.
+ */
+void
+packRowsAndGatherValues(const float *data, int rows, int cols,
+                        int words_per_line, uint64_t *bits,
+                        std::vector<float> &values, int *row_offsets)
+{
+    // Word build (packNonzeroBits byte-packs the compares so they
+    // vectorize) fused with the ctz value walk per row: the row is
+    // still cache-resident when its set bits are gathered, so the
+    // block streams through exactly once.
+    for (int r = 0; r < rows; ++r) {
+        const float *row = data + static_cast<size_t>(r) * cols;
+        uint64_t *words =
+            bits + static_cast<size_t>(r) * words_per_line;
+        for (int c0 = 0; c0 < cols; c0 += 64) {
+            uint64_t word =
+                packNonzeroBits(row + c0, std::min(64, cols - c0));
+            words[c0 >> 6] = word;
+            while (word) {
+                const int b = std::countr_zero(word);
+                word &= word - 1;
+                values.push_back(row[c0 + b]);
+            }
+        }
+        row_offsets[r + 1] = static_cast<int>(values.size());
+    }
+}
+
+} // namespace
+
 BitmapMatrix
 BitmapMatrix::encodePlane(const float *data, int rows, int cols,
                           const QuantSpec &spec)
@@ -79,34 +118,6 @@ BitmapMatrix::encodePlane(const float *data, int rows, int cols,
     for (size_t i = 0; i < bm.values_.size(); ++i)
         bm.values_fp16_[i] = spec.apply(bm.values_[i]);
     return bm;
-}
-
-void
-packRowsAndGatherValues(const float *data, int rows, int cols,
-                        int words_per_line, uint64_t *bits,
-                        std::vector<float> &values, int *row_offsets)
-{
-    // Word build (packNonzeroBits byte-packs the compares so they
-    // vectorize) fused with the ctz value walk per row: the row is
-    // still cache-resident when its set bits are gathered, so the
-    // block streams through exactly once.
-    for (int r = 0; r < rows; ++r) {
-        const float *row = data + static_cast<size_t>(r) * cols;
-        uint64_t *words =
-            bits + static_cast<size_t>(r) * words_per_line;
-        for (int c0 = 0; c0 < cols; c0 += 64) {
-            uint64_t word =
-                packNonzeroBits(row + c0, std::min(64, cols - c0));
-            words[c0 >> 6] = word;
-            while (word) {
-                const int b = std::countr_zero(word);
-                word &= word - 1;
-                values.push_back(row[c0 + b]);
-            }
-        }
-        if (row_offsets)
-            row_offsets[r + 1] = static_cast<int>(values.size());
-    }
 }
 
 BitmapMatrix

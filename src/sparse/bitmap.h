@@ -222,24 +222,6 @@ class BitmapMatrix
 };
 
 /**
- * The shared word-parallel encode primitive: pack a row-major
- * contiguous block of floats into bitmap words (@p words_per_line
- * words per row, LSB-first, built 64 elements at a time via
- * packNonzeroBits) and gather the non-zero values in row-major
- * order, appended to @p values while each row is still
- * cache-resident. When @p row_offsets is non-null (@p rows + 1
- * entries, [0] already 0), entry r+1 receives the value count
- * through row r. Every word-parallel encoder (encodePlane, the
- * dense->two-level builders) routes through this one loop, so the
- * bit/value semantics the equivalence tests pin cannot silently
- * fork.
- */
-void packRowsAndGatherValues(const float *data, int rows, int cols,
-                             int words_per_line, uint64_t *bits,
-                             std::vector<float> &values,
-                             int *row_offsets);
-
-/**
  * POPC of the AND of two bitmap-word spans — the hardware's
  * occupancy-bitmap intersection (the S2 step of Fig. 11b, and the
  * per-tile AND that drives k-compaction in Sec. III-B3). Spans may

@@ -3,16 +3,15 @@
  * Word-parallel dense-operand encoders: the online encode stage the
  * paper assumes is cheap enough to run on both GEMM sides (Sec. VI).
  *
- * Every function here is bitwise identical to its element-wise
- * counterpart (BitmapMatrix::encode / TwoLevelBitmapMatrix::encode /
- * NarrowTileMatrix::encode), which stay as the test references.
- * The difference is purely mechanical: bits are built 64 elements
- * per word with branchless compares, column-major bitmaps come out
- * of 64x64 block transposes instead of per-element probes, values
- * are packed by ctz walks over the words (FP16-rounded once, at
- * encode time), and warp tiles are split off the full-matrix bitmap
- * by pure word extraction + condensed-value slicing — the same
- * machinery the implicit im2col uses (encodePlane / fromPacked).
+ * Both encoders are bitwise identical to their element-wise
+ * counterparts (TwoLevelBitmapMatrix::encode / NarrowTileMatrix::
+ * encode), which stay as the test references. Neither builds bits
+ * from the floats: the operand's OperandSummary already holds its
+ * row-major non-zero bitmap, so tile bitmaps are cut out of those
+ * mask words (column-major ones out of one 64x64 block transpose of
+ * them) and the dense floats are read at the non-zeros alone, by
+ * ctz walks over the words. The quantized value lane is filled once,
+ * at encode time.
  */
 #ifndef DSTC_SPARSE_WORD_ENCODE_H
 #define DSTC_SPARSE_WORD_ENCODE_H
@@ -20,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sparse/bitmap.h"
 #include "sparse/narrow_tile.h"
 #include "sparse/two_level.h"
 #include "tensor/matrix.h"
@@ -30,33 +28,37 @@ namespace dstc {
 class OperandSummary;
 
 /**
- * Word-parallel BitmapMatrix::encode: bitmap words built 64
- * elements at a time, values packed via ctz walks. Bitwise identical
- * to encode(dense, major, spec) in bits, values, the quantized
- * mirror and the line offsets.
- */
-BitmapMatrix wordEncodeBitmap(const Matrix<float> &dense, Major major,
-                              const QuantSpec &spec = {});
-
-/**
- * Word-parallel TwoLevelBitmapMatrix::encode: the full matrix is
- * bitmap-encoded once (64 elements/word), then split into
- * tile_rows x tile_cols warp tiles by word extraction on the line
- * bitmaps and contiguous slices of the packed value arrays (the
- * prefix-popcount address-offset trick, per tile boundary). No dense
- * staging, no per-element probes, no re-rounding — the FP16 mirror
- * is sliced alongside the FP32 values.
+ * Word-parallel TwoLevelBitmapMatrix::encode over the operand's
+ * OperandSummary, for any tile shape and either major. Each
+ * tile_rows-row band cuts its tiles' line bitmaps out of the
+ * summary's row words (row-major tiles) or out of a block transpose
+ * of them (column-major tiles), with the line offsets from their
+ * POPC prefixes. It then walks its row words once, row-major, and
+ * gathers each non-zero's float into its tile: appended to the
+ * row's line, or dropped behind the column's cursor. No dense
+ * staging, no per-element probes; the quantized lane is one
+ * contiguous pass per tile.
  *
- * @param num_workers partitions the independent tile line groups
- *        over the shared pool (SpGemmOptions::num_workers contract:
- *        0 = all hardware threads, 1 = serial in the caller). Tiles
- *        are disjoint, so the result is bitwise identical to the
+ * @param summary must be OperandSummary(dense).
+ * @param num_workers partitions the tile-row bands over the shared
+ *        pool (SpGemmOptions::num_workers contract: 0 = all hardware
+ *        threads, 1 = serial in the caller). Bands own disjoint
+ *        tiles, so the result is bitwise identical to the
  *        element-wise encode for every worker count.
  * @param spec fills the quantized value lane (FP16 default). The
  *        spec applies per element, so worker partitioning cannot
  *        change it; integer specs carry the matrix-global scale
  *        computed by the caller (QuantSpec::forValues).
  */
+TwoLevelBitmapMatrix wordEncodeTwoLevel(const Matrix<float> &dense,
+                                        const OperandSummary &summary,
+                                        int tile_rows, int tile_cols,
+                                        Major major,
+                                        int num_workers = 1,
+                                        const QuantSpec &spec = {});
+
+/** wordEncodeTwoLevel of a fresh OperandSummary(dense): for callers
+ *  that do not hold the summary already. */
 TwoLevelBitmapMatrix wordEncodeTwoLevel(const Matrix<float> &dense,
                                         int tile_rows, int tile_cols,
                                         Major major,

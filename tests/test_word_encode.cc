@@ -72,7 +72,7 @@ expectTwoLevelIdentical(const TwoLevelBitmapMatrix &a,
     }
 }
 
-TEST(WordEncode, BitmapMatchesScalarBothMajors)
+TEST(WordEncode, BitmapPlaneMatchesScalarRowMajor)
 {
     Rng rng(731);
     // Ragged shapes straddling the 64-bit word boundary both ways.
@@ -82,12 +82,9 @@ TEST(WordEncode, BitmapMatchesScalarBothMajors)
         for (double sp : {0.0, 0.5, 0.95}) {
             Matrix<float> m =
                 randomSparseMatrix(d[0], d[1], sp, rng);
-            expectBitmapIdentical(wordEncodeBitmap(m, Major::Col),
-                                  BitmapMatrix::encode(m, Major::Col),
-                                  "col");
-            expectBitmapIdentical(wordEncodeBitmap(m, Major::Row),
-                                  BitmapMatrix::encode(m, Major::Row),
-                                  "row");
+            expectBitmapIdentical(
+                BitmapMatrix::encodePlane(m.data().data(), d[0], d[1]),
+                BitmapMatrix::encode(m, Major::Row), "row");
         }
     }
 }
@@ -96,13 +93,17 @@ TEST(WordEncode, TwoLevelMatchesScalarRaggedShapes)
 {
     Rng rng(732);
     // Non-multiple-of-32 extents exercise clipped edge tiles on both
-    // axes; tile_k = 16 exercises the non-32 chunk extraction.
+    // axes; tile_k = 16 exercises the non-32 chunk extraction. The
+    // last three cut tile lines that span two mask words or are
+    // narrower than 32, on each axis.
     struct Case
     {
         int rows, cols, tile_r, tile_c;
     } cases[] = {{64, 64, 32, 32},  {50, 70, 32, 32},
                  {33, 95, 32, 16},  {100, 31, 32, 32},
-                 {70, 70, 16, 64},  {129, 65, 32, 32}};
+                 {70, 70, 16, 64},  {129, 65, 32, 32},
+                 {70, 130, 48, 96}, {200, 40, 64, 8},
+                 {31, 257, 96, 32}};
     for (const auto &c : cases) {
         Matrix<float> m =
             randomSparseMatrix(c.rows, c.cols, 0.8, rng);
@@ -123,12 +124,36 @@ TEST(WordEncode, TwoLevelIdenticalForAnyWorkerCount)
 {
     Rng rng(733);
     Matrix<float> m = randomSparseMatrix(127, 130, 0.9, rng);
-    TwoLevelBitmapMatrix ref =
-        TwoLevelBitmapMatrix::encode(m, 32, 32, Major::Col);
-    for (int workers : {0, 1, 2, 4, 7}) {
+    const int tilings[][2] = {{32, 32}, {48, 24}};
+    for (const auto &t : tilings) {
+        for (Major major : {Major::Col, Major::Row}) {
+            for (DataType dtype :
+                 {DataType::Fp16, DataType::Int8, DataType::Int4}) {
+                const QuantSpec spec = QuantSpec::forValues(
+                    dtype, m.data().data(), m.data().size());
+                TwoLevelBitmapMatrix ref = TwoLevelBitmapMatrix::encode(
+                    m, t[0], t[1], major, spec);
+                for (int workers : {0, 1, 2, 4, 7}) {
+                    expectTwoLevelIdentical(
+                        wordEncodeTwoLevel(m, t[0], t[1], major,
+                                           workers, spec),
+                        ref,
+                        ("workers=" + std::to_string(workers)).c_str());
+                }
+            }
+        }
+    }
+}
+
+TEST(WordEncode, TwoLevelFromSummaryEqualsWrapper)
+{
+    Rng rng(738);
+    Matrix<float> m = randomSparseMatrix(90, 75, 0.7, rng);
+    const OperandSummary summary(m);
+    for (Major major : {Major::Col, Major::Row}) {
         expectTwoLevelIdentical(
-            wordEncodeTwoLevel(m, 32, 32, Major::Col, workers), ref,
-            ("workers=" + std::to_string(workers)).c_str());
+            wordEncodeTwoLevel(m, summary, 32, 16, major, 2),
+            wordEncodeTwoLevel(m, 32, 16, major, 2), "summary");
     }
 }
 
