@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "gemm/spgemm_device.h"
 #include "im2col/dense_im2col.h"
+#include "sparse/two_level.h"
 #include "tensor/reference.h"
 
 namespace dstc {
@@ -55,13 +56,23 @@ ConvExecutor::runScalar(const Tensor4d &input,
     const double input_bytes =
         static_cast<double>(fmap.encodedBytes());
 
-    // Functional GEMM through the dense-operand entry (per-element
-    // profile + re-encode inside), matching run()'s direct re-tile.
+    // Functional GEMM over operands re-encoded element by element
+    // (the scalar TwoLevelBitmapMatrix::encode), so run()'s direct
+    // re-tile and its word-parallel weight encode are pinned against
+    // an independent encoder.
     SpGemmDevice spgemm(cfg_);
     SpGemmOptions opts;
     opts.functional = true;
     opts.num_workers = options.num_workers;
-    Matrix<float> d = spgemm.multiply(lowered, wt, opts).d;
+    const QuantSpec spec_a = QuantSpec::forValues(
+        opts.dtype, lowered.data().data(), lowered.data().size());
+    const QuantSpec spec_b = QuantSpec::forValues(
+        opts.dtype, wt.data().data(), wt.data().size());
+    const TwoLevelBitmapMatrix a_enc = TwoLevelBitmapMatrix::encode(
+        lowered, opts.tile_m, opts.tile_k, Major::Col, spec_a);
+    const TwoLevelBitmapMatrix b_enc = TwoLevelBitmapMatrix::encode(
+        wt, opts.tile_k, opts.tile_n, Major::Row, spec_b);
+    Matrix<float> d = spgemm.multiplyEncoded(a_enc, b_enc, opts).d;
 
     // Timing from the actual data's sparsity.
     SparsityProfile a_profile =
